@@ -6,6 +6,18 @@ providers."  The engine is deliberately dumb: a weighted sum over resolved
 field values plus the provider's own base score.  All tuning lives in the
 spec, so retuning ranking never touches this module — the paper's point.
 
+Every list entry point (:meth:`Ranker.top_k`, :meth:`Ranker.top_k_items`,
+:meth:`Ranker.rank_items`, :meth:`Ranker.rank_ids`, :meth:`Ranker.order`)
+runs one kernel, ``Ranker._select``: one
+:meth:`FieldResolver.values_batch` pass, plain-float totals, and sort keys
+``(-score, artifact_id, index)``, fully sorted or heap-selected.  A
+:class:`RankedArtifact` with its per-field contributions is built only for
+the rows an entry point returns: the head for ``top_k``/``top_k_items``,
+every row for ``rank_items``/``rank_ids``, and none for ``order``, which
+category views use to order a whole group while showing a preview.
+:meth:`Ranker.score` stays the scalar, one-artifact path; the kernel's
+scores, contributions and tie-breaks are bit-identical to it.
+
 **Stability: internal.**  Import through :mod:`repro` / the package
 facades; this module's names may change without notice.
 """
@@ -73,37 +85,17 @@ class Ranker:
         limit: int,
         base_scores: "dict[str, float] | None" = None,
     ) -> list[RankedArtifact]:
-        """The top-*limit* artifacts by combined score, lazily built.
+        """The top-*limit* artifacts by combined score.
 
-        The full-sort path (:meth:`rank_ids`) constructs a
-        :class:`RankedArtifact` — rounded per-field contribution tuples
-        included — for *every* candidate, then throws all but the head
-        away.  This path scores with plain floats (one
-        :meth:`FieldResolver.values_batch` pass, no tuples), heap-selects
-        the head with :func:`heapq.nsmallest`, and builds contribution
-        breakdowns only for the ≤ *limit* entries actually returned.
-
-        Ordering is bit-identical to the sort path: scores are rounded
-        the same way and ties break on artifact id.  ``limit <= 0``
-        returns no entries (the cap semantics of search).
+        Heap-selects the head and builds score breakdowns only for it;
+        ``limit <= 0`` returns no entries (the cap semantics of search).
         """
         ids = list(artifact_ids)
         if limit <= 0 or not ids:
             return []
         base_scores = base_scores or {}
-        columns = self.resolver.values_batch(ids, [w.field for w in weights])
-        weight_columns = [(w.weight, columns[w.field]) for w in weights]
-        keyed = []
-        for index, aid in enumerate(ids):
-            total = base_scores.get(aid, 0.0)
-            for weight, column in weight_columns:
-                total += column[index] * weight
-            keyed.append((-round(total, 6), aid))
-        head = heapq.nsmallest(limit, keyed)
-        return [
-            self.score(aid, weights, base_score=base_scores.get(aid, 0.0))
-            for _, aid in head
-        ]
+        bases = [base_scores.get(aid, 0.0) for aid in ids]
+        return self._ranked(ids, weights, bases, None, limit)
 
     def top_k_items(
         self,
@@ -112,52 +104,14 @@ class Ranker:
         limit: int,
         live: bool = False,
     ) -> list[RankedArtifact]:
-        """Lazy top-*limit* selection over provider items.
+        """:meth:`rank_items` truncated to *limit*, heap-selected.
 
-        Same contract as :meth:`rank_items` truncated to *limit* (same
-        scores, same live-field semantics, same tie-breaks), but scoring
-        runs on plain floats over batch-resolved columns and only the
-        returned head pays for :class:`RankedArtifact` construction.
         ``limit <= 0`` falls back to the full sort — an uncapped caller
         needs every entry ranked anyway.
         """
-        items = list(items)
-        if limit <= 0:
-            return self.rank_items(items, weights, live=live)
-        snapshots = [
-            {
-                k: v
-                for k, v in item.fields.items()
-                if isinstance(v, (int, float))
-                and not isinstance(v, bool)
-                and not (live and self.resolver.serves(k))
-            }
-            for item in items
-        ]
-        columns = self.resolver.values_batch(
-            [item.artifact_id for item in items], [w.field for w in weights]
+        return self._ranked_items(
+            items, weights, limit if limit > 0 else None, live
         )
-        keyed = []
-        for index, item in enumerate(items):
-            total = item.score
-            snapshot = snapshots[index]
-            for weight in weights:
-                if weight.field in snapshot:
-                    value = float(snapshot[weight.field])
-                else:
-                    value = columns[weight.field][index]
-                total += value * weight.weight
-            keyed.append((-round(total, 6), item.artifact_id, index))
-        head = heapq.nsmallest(limit, keyed)
-        return [
-            self.score(
-                items[index].artifact_id,
-                weights,
-                base_score=items[index].score,
-                fields=snapshots[index],
-            )
-            for _, _, index in head
-        ]
 
     def rank_items(
         self,
@@ -174,31 +128,147 @@ class Ranker:
         its visible head.  Snapshots still win for provider-computed
         fields the resolver cannot serve (e.g. per-item match counts).
         """
-        ranked = [
-            self.score(
-                item.artifact_id,
-                weights,
-                base_score=item.score,
-                fields={
-                    k: v
-                    for k, v in item.fields.items()
-                    if isinstance(v, (int, float))
-                    and not isinstance(v, bool)
-                    and not (live and self.resolver.serves(k))
-                },
-            )
-            for item in items
-        ]
-        ranked.sort(key=lambda r: (-r.score, r.artifact_id))
-        return ranked
+        return self._ranked_items(items, weights, None, live)
 
     def rank_ids(
         self, artifact_ids: Iterable[str], weights: Sequence[RankingWeight]
     ) -> list[RankedArtifact]:
-        """Rank bare artifact ids (used by search-result ordering)."""
-        ranked = [self.score(aid, weights) for aid in artifact_ids]
-        ranked.sort(key=lambda r: (-r.score, r.artifact_id))
-        return ranked
+        """Rank bare artifact ids, every entry with its breakdown."""
+        ids = list(artifact_ids)
+        return self._ranked(ids, weights, [0.0] * len(ids), None, None)
+
+    def order(
+        self, artifact_ids: Iterable[str], weights: Sequence[RankingWeight]
+    ) -> list[tuple[str, float]]:
+        """``(artifact_id, score)`` pairs in :meth:`rank_ids` order.
+
+        For callers that need the whole ordering but display only a
+        head (category views): no breakdown is built for any row.
+        """
+        ids = list(artifact_ids)
+        keys, _ = self._select(ids, weights, [0.0] * len(ids), None, None)
+        return [(aid, -negated) for negated, aid, _ in keys]
+
+    # -- the scoring kernel ---------------------------------------------------
+
+    def _ranked_items(
+        self,
+        items: Iterable[ScoredArtifact],
+        weights: Sequence[RankingWeight],
+        limit: int | None,
+        live: bool,
+    ) -> list[RankedArtifact]:
+        # Snapshots keep only numeric, non-bool weight fields (minus the
+        # live-served ones); nothing else is ever read.
+        items = list(items)
+        kept = [
+            field
+            for field in dict.fromkeys(w.field for w in weights)
+            if not (live and self.resolver.serves(field))
+        ]
+        snapshots = None
+        if kept:
+            snapshots = []
+            for item in items:
+                snapshot = {}
+                for field in kept:
+                    value = item.fields.get(field)
+                    if isinstance(value, (int, float)) and not isinstance(
+                        value, bool
+                    ):
+                        snapshot[field] = float(value)
+                snapshots.append(snapshot)
+        ids = [item.artifact_id for item in items]
+        bases = [item.score for item in items]
+        return self._ranked(ids, weights, bases, snapshots, limit)
+
+    def _ranked(
+        self,
+        ids: list[str],
+        weights: Sequence[RankingWeight],
+        bases: list[float],
+        snapshots: "list[dict[str, float]] | None",
+        limit: int | None,
+    ) -> list[RankedArtifact]:
+        """The selected rows as :class:`RankedArtifact` s, breakdowns
+        built for those rows only."""
+        keys, columns = self._select(ids, weights, bases, snapshots, limit)
+        return [
+            RankedArtifact(
+                artifact_id=aid,
+                score=-negated,
+                base_score=bases[index],
+                contributions=tuple(
+                    (w.field, round(columns[w.field][index] * w.weight, 6))
+                    for w in weights
+                ),
+            )
+            for negated, aid, index in keys
+        ]
+
+    def _select(
+        self,
+        ids: list[str],
+        weights: Sequence[RankingWeight],
+        bases: list[float],
+        snapshots: "list[dict[str, float]] | None",
+        limit: int | None,
+    ) -> tuple[list[tuple[float, str, int]], dict[str, list[float]]]:
+        """Sort keys ``(-score, artifact_id, index)`` plus value columns.
+
+        Every entry point ends here.  Totals accumulate ``base + v1*w1 +
+        v2*w2 …`` in weight order and round to 6 places exactly like
+        :meth:`score`, so scores and tie-breaks are bit-identical to it;
+        the index keeps duplicate ids in input order.  ``limit=None``
+        sorts every key, otherwise the head is heap-selected.
+        """
+        columns = self._columns(
+            ids, list(dict.fromkeys(w.field for w in weights)), snapshots
+        )
+        totals = bases
+        for w in weights:
+            weight = w.weight
+            totals = [
+                total + value * weight
+                for total, value in zip(totals, columns[w.field])
+            ]
+        keys = [
+            (-round(total, 6), aid, index)
+            for index, (aid, total) in enumerate(zip(ids, totals))
+        ]
+        if limit is None:
+            keys.sort()
+            return keys, columns
+        return heapq.nsmallest(limit, keys), columns
+
+    def _columns(
+        self,
+        ids: list[str],
+        fields: list[str],
+        snapshots: "list[dict[str, float]] | None",
+    ) -> dict[str, list[float]]:
+        """field -> value column aligned with *ids*.
+
+        Without snapshot values this is one
+        :meth:`FieldResolver.values_batch` pass.  A row whose snapshot
+        holds a field is not resolved for it, as in :meth:`score` (so a
+        deleted artifact carrying its snapshot value never reaches the
+        resolver).
+        """
+        if not snapshots or not any(snapshots):
+            return self.resolver.values_batch(ids, fields)
+        columns = {}
+        for field in fields:
+            rows = [i for i, snap in enumerate(snapshots) if field not in snap]
+            column = [snap.get(field, 0.0) for snap in snapshots]
+            if rows:
+                resolved = self.resolver.values_batch(
+                    [ids[i] for i in rows], [field]
+                )[field]
+                for i, value in zip(rows, resolved):
+                    column[i] = value
+            columns[field] = column
+        return columns
 
 
 def combine_rankings(

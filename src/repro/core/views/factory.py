@@ -122,29 +122,22 @@ class ViewFactory:
         limit: int = 0,
     ) -> View:
         weights = self.spec.effective_ranking(provider.name)
-        # Lazy top-k: a capped view only pays score-breakdown construction
-        # for the head it displays.  Deleted artifacts may occupy head
-        # slots (the ranker scores whatever ids the provider returned),
-        # so over-fetch by the item count of dropped ids to keep the
-        # visible card count identical to rank-all-then-truncate.
+        # Deleted artifacts never become cards; dropping them before
+        # ranking keeps the visible head identical to rank-all-then-filter
+        # (each row's sort key is independent of the others).
+        items = [
+            item
+            for item in result.items
+            if self.store.has_artifact(item.artifact_id)
+        ]
         if limit > 0:
-            missing = sum(
-                1
-                for item in result.items
-                if not self.store.has_artifact(item.artifact_id)
-            )
-            ranked = self.ranker.top_k_items(
-                result.items, weights, limit + missing, live=True
-            )
+            ranked = self.ranker.top_k_items(items, weights, limit, live=True)
         else:
-            ranked = self.ranker.rank_items(result.items, weights, live=True)
+            ranked = self.ranker.rank_items(items, weights, live=True)
         cards = tuple(
             make_card(self.store, entry.artifact_id, score=entry.score)
             for entry in ranked
-            if self.store.has_artifact(entry.artifact_id)
         )
-        if limit > 0:
-            cards = cards[:limit]
         if provider.representation is Representation.TILES:
             return TilesView(cards=cards, **common)
         return ListView(cards=cards, **common)
@@ -174,17 +167,19 @@ class ViewFactory:
                 for aid in category.artifact_ids
                 if self.store.has_artifact(aid)
             ]
-            ranked = self.ranker.rank_ids(ids, weights)
+            # The group keeps every id in rank order but shows only a
+            # preview, so only the preview rows get cards.
+            ordered = self.ranker.order(ids, weights)
             preview = tuple(
-                make_card(self.store, entry.artifact_id, score=entry.score)
-                for entry in ranked[:CATEGORY_PREVIEW_SIZE]
+                make_card(self.store, aid, score=score)
+                for aid, score in ordered[:CATEGORY_PREVIEW_SIZE]
             )
             groups.append(
                 CategoryGroup(
                     name=category.name,
                     total=len(ids),
                     preview=preview,
-                    all_ids=tuple(entry.artifact_id for entry in ranked),
+                    all_ids=tuple(aid for aid, _ in ordered),
                 )
             )
         return CategoriesView(groups=tuple(groups), **common)

@@ -43,6 +43,7 @@ from repro.catalog.store import CatalogStore
 from repro.catalog.usage import UsageStats
 from repro.core.query.evaluator import QueryEvaluator
 from repro.core.query.language import QueryLanguage
+from repro.core.query.parser import parse_query
 from repro.core.ranking import Ranker
 from repro.core.spec.model import HumboldtSpec
 from repro.federation.refs import (
@@ -503,12 +504,18 @@ class FederatedCatalog:
         partial answers beat no answer, which is the federation's
         explicit departure from the single-catalog evaluator's
         fail-loudly contract.
+
+        A malformed query is the caller's error, not a member's: it is
+        parsed once before the fan-out and raises
+        :class:`~repro.errors.QuerySyntaxError`, so it never counts
+        against a member's breaker.
         """
         if not self._members:
             raise FederationError("no member catalogs registered")
         targets = list(members) if members is not None else list(self._members)
         for catalog_id in targets:
             self._member(catalog_id)
+        parse_query(query)
         with self._engine.tracer.span("federation.search") as span:
             if span:
                 span.set("query", query)

@@ -16,6 +16,7 @@ from repro.catalog.store import CatalogStore
 from repro.core.query.evaluator import QueryEvaluator
 from repro.core.query.language import QueryLanguage
 from repro.core.ranking import Ranker
+from repro.errors import QuerySyntaxError
 from repro.federation import (
     CatalogRef,
     Discovery,
@@ -415,6 +416,21 @@ class TestDiscoveryFacade:
             assert discovery.default_member == "right"
             assert discovery.artifact("t-returns").name == "RETURNS"
             assert discovery.has_artifact("left:t-orders")
+
+    def test_malformed_queries_raise_without_opening_the_breaker(self):
+        """Syntax errors are the caller's: they raise before the fan-out
+        and never count as member failures."""
+        left, _ = two_member_stores()
+        with Discovery.open(left) as fresh:
+            want = fresh.search("type: table", user_id="u-ann")
+        with Discovery.open(left) as discovery:
+            for _ in range(8):
+                with pytest.raises(QuerySyntaxError):
+                    discovery.search("bad'0", user_id="u-ann")
+            got = discovery.search("type: table", user_id="u-ann")
+        assert got.degraded is False
+        assert got.failed == ()
+        assert got.artifact_ids() == want.artifact_ids() == ["main:t-orders"]
 
     def test_open_requires_exactly_one_source(self):
         left, _ = two_member_stores()
