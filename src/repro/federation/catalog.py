@@ -54,7 +54,7 @@ from repro.federation.refs import (
     validate_catalog_id,
 )
 from repro.obs.trace import Tracer
-from repro.providers.base import ProviderRequest, RequestContext
+from repro.providers.base import ProviderRequest, RequestContext, reads_context
 from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
 from repro.providers.execution import (
     ExecutionEngine,
@@ -167,6 +167,8 @@ class _Member:
     owned: bool = False
 
 
+# Fully keyed: the member evaluator passes user and team to context readers.
+@reads_context("user_id", "team_id", "limit")
 class _MemberSearchEndpoint:
     """The fan-out leaf: one member's full scored match list.
 

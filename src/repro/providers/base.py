@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.catalog.domains import coerce_domains
 from repro.errors import RepresentationError
@@ -340,6 +340,13 @@ def patches_with(patcher: ResultPatcher) -> Callable[[Endpoint], Endpoint]:
     correct as refetching — when in doubt it returns ``None`` and the
     engine drops the entry (never less correct than PR 2's behaviour,
     just faster in the monotonic common cases).
+
+    The request a patcher receives is rebuilt from the cache key, so it
+    carries only what the key holds: the inputs plus the context fields
+    the endpoint declared via :func:`reads_context`.  Undeclared fields
+    arrive blank (``user_id=""``, ``team_id=""``, ``limit=0``) — one
+    shared entry answers many users, so there is no single requester to
+    rebuild.  A patcher must therefore read only declared fields.
     """
 
     def decorate(endpoint: Endpoint) -> Endpoint:
@@ -357,6 +364,63 @@ def declared_patcher(endpoint: Endpoint) -> ResultPatcher | None:
     """
     patcher = getattr(endpoint, PATCHER_ATTR, None)
     return patcher if callable(patcher) else None
+
+
+#: Attribute carrying an endpoint's declared request-context fields.
+CONTEXT_ATTR = "__context_fields__"
+
+#: The :class:`RequestContext` fields an endpoint can declare it reads.
+CONTEXT_FIELDS = ("user_id", "team_id", "limit")
+
+
+def coerce_context_fields(fields: Iterable[str]) -> frozenset[str]:
+    """Validate a context-field declaration into a frozenset."""
+    frozen = frozenset(fields)
+    unknown = frozen.difference(CONTEXT_FIELDS)
+    if unknown:
+        raise ValueError(
+            f"unknown request-context field(s) {sorted(unknown)}; "
+            f"expected a subset of {CONTEXT_FIELDS}"
+        )
+    return frozen
+
+
+def reads_context(*fields: str) -> Callable[[Endpoint], Endpoint]:
+    """Declare the :class:`RequestContext` fields an endpoint's answer
+    can depend on.
+
+    The execution engine keys each fetch on the declared fields only:
+    an undeclared field gets a blank slot in the request key, so an
+    endpoint that reads no context (``@reads_context()``) shares one
+    cache entry, one in-flight fetch and one in-batch slot across every
+    user, team and limit.  Endpoints that declare nothing keep the full
+    key (user, team and limit), which is always correct, just unshared.
+
+    A field is "read" when *any* part of the result — membership, order,
+    scores or the advisory ``fields`` snapshots — can differ with it.
+    Under-declaring serves one user's answer to another, so when in
+    doubt, declare.  Works on functions, methods and endpoint classes
+    (the attribute is found through the instance).
+    """
+    frozen = coerce_context_fields(fields)
+
+    def decorate(endpoint: Endpoint) -> Endpoint:
+        setattr(endpoint, CONTEXT_ATTR, frozen)
+        return endpoint
+
+    return decorate
+
+
+def declared_context(endpoint: Endpoint) -> frozenset[str] | None:
+    """The fields *endpoint* declared via :func:`reads_context`, else None.
+
+    ``None`` means "undeclared" (keyed on every context field) — distinct
+    from ``frozenset()``, which means "reads no context at all".
+    """
+    fields = getattr(endpoint, CONTEXT_ATTR, None)
+    if fields is None:
+        return None
+    return coerce_context_fields(fields)
 
 
 def declared_dependencies(endpoint: Endpoint) -> frozenset[str] | None:

@@ -44,6 +44,7 @@ from repro.providers.base import (
     Representation,
     ScoredArtifact,
     depends_on,
+    reads_context,
 )
 from repro.providers.fields import FieldResolver
 from repro.providers.registry import EndpointRegistry
@@ -323,8 +324,15 @@ class BuiltinProviders:
     # returns full membership and leaves truncation to the view layer.
     # Interaction providers, whose membership itself comes from the
     # usage log, declare ``usage`` and flush on events.
+    #
+    # Context declarations (``@reads_context``) name every request-context
+    # field a body reads, so the engine can share one cached result across
+    # the users, teams and limits it ignores.  The advisory ``fields``
+    # snapshots are global aggregates (no per-user value), so they never
+    # force a declaration.
 
     @depends_on(DOMAIN_USAGE, DOMAIN_ENTITIES)
+    @reads_context("user_id", "limit")
     def recents(self, request: ProviderRequest) -> ProviderResult:
         """Artifacts the requesting user touched, most recent first."""
         user_id = request.input("user") or request.context.user_id
@@ -332,6 +340,7 @@ class BuiltinProviders:
         return self._list(ids, Representation.LIST)
 
     @depends_on(DOMAIN_USAGE, DOMAIN_ENTITIES)
+    @reads_context("user_id", "limit")
     def recent_documents(self, request: ProviderRequest) -> ProviderResult:
         """Recents restricted to document-like artifacts (workbooks, docs).
 
@@ -350,12 +359,14 @@ class BuiltinProviders:
         return self._list(kept[: request.context.limit], Representation.LIST)
 
     @depends_on(DOMAIN_USAGE, DOMAIN_ENTITIES)
+    @reads_context("limit")
     def most_viewed(self, request: ProviderRequest) -> ProviderResult:
         """Globally most-viewed artifacts, as tiles."""
         ranked = self.store.usage.most_viewed(limit=request.context.limit)
         return self._list([aid for aid, _ in ranked], Representation.TILES)
 
     @depends_on(DOMAIN_ENTITIES)
+    @reads_context("limit")
     def newest(self, request: ProviderRequest) -> ProviderResult:
         """Most recently created artifacts."""
         ordered = sorted(
@@ -365,6 +376,7 @@ class BuiltinProviders:
         return self._list(ids, Representation.LIST)
 
     @depends_on(DOMAIN_USAGE, DOMAIN_ENTITIES)
+    @reads_context("user_id", "limit")
     def favorites(self, request: ProviderRequest) -> ProviderResult:
         """Artifacts the requesting user favourited."""
         user_id = request.input("user") or request.context.user_id
@@ -374,6 +386,7 @@ class BuiltinProviders:
     # -- annotation providers ---------------------------------------------------
 
     @depends_on(DOMAIN_ENTITIES, DOMAIN_MEMBERSHIP)
+    @reads_context()
     def owned_by(self, request: ProviderRequest) -> ProviderResult:
         """Artifacts owned/created by the given user (id or display name)."""
         raw = request.input("user")
@@ -386,6 +399,7 @@ class BuiltinProviders:
         return self._list(self._rank_by_views(ids), Representation.LIST)
 
     @depends_on(DOMAIN_ENTITIES)
+    @reads_context()
     def of_type(self, request: ProviderRequest) -> ProviderResult:
         """Artifacts of a given type (``type: table``)."""
         raw = request.input("artifact_type")
@@ -399,6 +413,7 @@ class BuiltinProviders:
         return self._list(self._rank_by_views(ids), Representation.LIST)
 
     @depends_on(DOMAIN_ENTITIES)
+    @reads_context()
     def types(self, request: ProviderRequest) -> ProviderResult:
         """All artifacts grouped by type (a categories overview)."""
         categories = []
@@ -414,6 +429,7 @@ class BuiltinProviders:
         )
 
     @depends_on(DOMAIN_ENTITIES)
+    @reads_context()
     def badges(self, request: ProviderRequest) -> ProviderResult:
         """Artifacts grouped by badge (a categories overview)."""
         categories = [
@@ -426,6 +442,7 @@ class BuiltinProviders:
         )
 
     @depends_on(DOMAIN_ENTITIES)
+    @reads_context()
     def badged(self, request: ProviderRequest) -> ProviderResult:
         """Artifacts carrying a given badge (``badged: endorsed``)."""
         badge = request.input("badge")
@@ -435,6 +452,7 @@ class BuiltinProviders:
         return self._list(self._rank_by_views(ids), Representation.LIST)
 
     @depends_on(DOMAIN_ENTITIES, DOMAIN_MEMBERSHIP)
+    @reads_context()
     def badged_by(self, request: ProviderRequest) -> ProviderResult:
         """Artifacts with any badge granted by the given user."""
         raw = request.input("user")
@@ -453,6 +471,7 @@ class BuiltinProviders:
         return self._list(self._rank_by_views(ids), Representation.LIST)
 
     @depends_on(DOMAIN_ENTITIES)
+    @reads_context()
     def tagged(self, request: ProviderRequest) -> ProviderResult:
         """Artifacts carrying a given tag."""
         tag = request.input("text")
@@ -464,6 +483,7 @@ class BuiltinProviders:
     # -- team providers -------------------------------------------------------
 
     @depends_on(DOMAIN_USAGE, DOMAIN_MEMBERSHIP, DOMAIN_ENTITIES)
+    @reads_context("team_id", "limit")
     def team_popular(self, request: ProviderRequest) -> ProviderResult:
         """Most viewed by members of a team (default: requester's team)."""
         team_id = request.input("team") or request.context.team_id
@@ -479,6 +499,7 @@ class BuiltinProviders:
         return self._list(ids, Representation.LIST)
 
     @depends_on(DOMAIN_ENTITIES, DOMAIN_MEMBERSHIP)
+    @reads_context("team_id")
     def team_docs(self, request: ProviderRequest) -> ProviderResult:
         """Artifacts belonging to a team, as tiles."""
         team_id = request.input("team") or request.context.team_id
@@ -495,6 +516,7 @@ class BuiltinProviders:
     # -- relatedness providers ----------------------------------------------------
 
     @depends_on(DOMAIN_ENTITIES)
+    @reads_context()
     def joinable(self, request: ProviderRequest) -> ProviderResult:
         """Joinability graph around an input table (Figure 3)."""
         artifact_id = request.input("artifact")
@@ -517,6 +539,7 @@ class BuiltinProviders:
         )
 
     @depends_on(DOMAIN_LINEAGE, DOMAIN_ENTITIES)
+    @reads_context()
     def lineage(self, request: ProviderRequest) -> ProviderResult:
         """Downstream derivation tree rooted at the input artifact (§6.2)."""
         artifact_id = request.input("artifact")
@@ -530,6 +553,7 @@ class BuiltinProviders:
         )
 
     @depends_on(DOMAIN_LINEAGE, DOMAIN_ENTITIES)
+    @reads_context()
     def lineage_graph(self, request: ProviderRequest) -> ProviderResult:
         """Lineage neighbourhood (both directions) as a graph."""
         artifact_id = request.input("artifact")
@@ -550,6 +574,7 @@ class BuiltinProviders:
         )
 
     @depends_on(DOMAIN_ENTITIES, DOMAIN_TEXT)
+    @reads_context("limit")
     def similar(self, request: ProviderRequest) -> ProviderResult:
         """Ensemble-similar artifacts to the input artifact."""
         artifact_id = request.input("artifact")
@@ -570,6 +595,7 @@ class BuiltinProviders:
         return ProviderResult(representation=Representation.LIST, items=tuple(items))
 
     @depends_on(DOMAIN_ENTITIES, DOMAIN_TEXT)
+    @reads_context()
     def embedding_map(self, request: ProviderRequest) -> ProviderResult:
         """2-D embedding of the catalog (Figure 6, embedding view)."""
         coords = self.embedding.build().all_coordinates()

@@ -28,6 +28,7 @@ from repro.providers.base import (
     ProviderResult,
     Representation,
     ScoredArtifact,
+    reads_context,
 )
 from repro.providers.fields import FieldResolver
 
@@ -41,6 +42,7 @@ def _list_like(representation: "Representation | str") -> Representation:
     return rep
 
 
+@reads_context("limit")
 class LookupEndpoint:
     """A curated artifact list, served in its curated order."""
 
@@ -124,6 +126,7 @@ def _as_float(value: Any) -> float:
         return 0.0
 
 
+@reads_context()  # rules see artifact metadata only; never truncated
 class RuleEndpoint:
     """Artifacts matching every rule in a config-defined conjunction.
 

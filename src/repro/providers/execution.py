@@ -8,8 +8,10 @@ owns the cross-cutting concerns the paper's UI-side design implies but a
 naive reproduction scatters per call site:
 
 * **canonical request keys** — one fetch is identified by its endpoint
-  URI plus the request's inputs and context, so identical fetches are
-  recognisable wherever they originate;
+  URI plus the request's inputs and the context fields the endpoint
+  declares it reads (:func:`~repro.providers.base.reads_context`), so
+  identical fetches are recognisable wherever — and for whomever — they
+  originate;
 * **caching** — a TTL/LRU result cache keyed on those request keys,
   invalidated explicitly (:meth:`ExecutionEngine.invalidate`) and
   implicitly whenever the catalog mutates or the spec is swapped.
@@ -108,32 +110,50 @@ if TYPE_CHECKING:  # imported for type hints only; no runtime cycle
 RequestKey = tuple[str, tuple[tuple[str, str], ...], str, str, int]
 
 
-def request_key(endpoint: str, request: ProviderRequest) -> RequestKey:
+def request_key(
+    endpoint: str,
+    request: ProviderRequest,
+    fields: "frozenset[str] | None" = None,
+) -> RequestKey:
     """Canonical cache key for one fetch.
 
-    Input order is irrelevant to providers, so inputs are sorted; the
-    user, team and limit all participate because providers personalise
-    and cap results on them.
+    Input order is irrelevant to providers, so inputs are sorted.
+    *fields* names the context fields that can change the endpoint's
+    answer (its :func:`~repro.providers.base.reads_context`
+    declaration); every other field gets a blank slot (``""``, ``""``,
+    ``0``), so requests differing only there share one key.  ``None``
+    means undeclared: user, team and limit all participate.
     """
+    context = request.context
+    inputs = tuple(sorted(request.inputs.items()))
+    if fields is None:
+        return (endpoint, inputs, context.user_id, context.team_id, context.limit)
     return (
         endpoint,
-        tuple(sorted(request.inputs.items())),
-        request.context.user_id,
-        request.context.team_id,
-        request.context.limit,
+        inputs,
+        context.user_id if "user_id" in fields else "",
+        context.team_id if "team_id" in fields else "",
+        context.limit if "limit" in fields else 0,
     )
 
 
 def _request_from_key(key: RequestKey) -> ProviderRequest:
     """Rebuild the request a cache key canonicalises (inverse of
-    :func:`request_key`; exact because the key captures every field a
-    provider can read)."""
+    :func:`request_key`).  Fields the key left blank come back blank:
+    the endpoint declared it does not read them, and a shared entry has
+    no single requester to restore (see
+    :func:`~repro.providers.base.patches_with`)."""
     return ProviderRequest(
         inputs=dict(key[1]),
         context=RequestContext(
             user_id=key[2], team_id=key[3], limit=key[4]
         ),
     )
+
+
+#: Added to an endpoint's declared key fields when the requesting team has
+#: a tenant policy overlay, so the overlay's cache knobs keep a partition.
+_TENANT_FIELD = frozenset({"team_id"})
 
 
 #: Domains whose common mutations are monotonic (usage counters grow,
@@ -1219,9 +1239,11 @@ class ExecutionEngine:
     def set_tenant_policy(self, tenant_id: str, policy: ExecutionPolicy) -> None:
         """Give *tenant_id*'s fetches their own policy overlay.
 
-        A fetch belongs to a tenant via its request context's ``team_id``
-        (which also participates in the request key, so tenants never
-        share cache entries whose answers could differ).  The overlay
+        A fetch belongs to a tenant via its request context's ``team_id``.
+        Tenants share cache entries only for endpoints that declare they
+        do not read the team; a tenant with an overlay gets its own key
+        partition even there, so its cache knobs never apply to, or take
+        entries from, another tenant (see :meth:`_key`).  The overlay
         governs retry/backoff and cache knobs; **circuit breakers stay
         engine-wide** — endpoint health is a property of the provider,
         not of who asked — so breaker knobs in a tenant policy are
@@ -1312,7 +1334,7 @@ class ExecutionEngine:
         * breaker open / deadline spent, no fallback → ``skipped``.
         """
         tracer = self.tracer
-        key = request_key(endpoint, request)
+        key = self._key(endpoint, request)
         if not tracer.enabled:
             # Untraced fast path: the cache-hit case is the hottest line
             # in the engine and pays nothing for observability here.
@@ -1351,7 +1373,7 @@ class ExecutionEngine:
         """
         tracer = self.tracer
         with tracer.span("engine.execute_many") as batch_sp:
-            keys = [request_key(endpoint, request) for endpoint, request in calls]
+            keys = [self._key(endpoint, request) for endpoint, request in calls]
             outcomes: dict[RequestKey, FetchOutcome] = {}
             hit_keys: set[RequestKey] = set()
             pending: list[tuple[RequestKey, str, ProviderRequest]] = []
@@ -1477,8 +1499,10 @@ class ExecutionEngine:
         Sources, in order of trust:
 
         1. **the cache** — a live cached result for this exact request
-           key answers with its true size (and the later fetch will be a
-           hit, so planning on it is free);
+           key answers with its payload size (exact for list results, an
+           upper bound where entries repeat an id; counted without
+           flattening, since shared keys make this the common path), and
+           the later fetch will be a hit, so planning on it is free;
         2. **the endpoint's estimator hook** — declared via
            :func:`~repro.providers.base.estimates_with` or
            ``registry.register(..., estimator=...)``; cheap index-size
@@ -1490,11 +1514,11 @@ class ExecutionEngine:
         costs speed, not correctness (and a hook that raises is treated
         as "no estimate", same fault containment as fetches).
         """
-        key = request_key(endpoint, request)
+        key = self._key(endpoint, request)
         cached = self._lookup(key)
         if cached is not None:
             self.stats.record_estimate(endpoint)
-            return len(cached.artifact_ids())
+            return cached.payload_size()
         getter = getattr(self.registry, "estimator", None)
         estimator = getter(endpoint) if callable(getter) else None
         if estimator is None:
@@ -1717,6 +1741,25 @@ class ExecutionEngine:
         self.close()
 
     # -- cache internals ----------------------------------------------------
+
+    def _key(self, endpoint: str, request: ProviderRequest) -> RequestKey:
+        """The request key of one fetch through this engine.
+
+        Keyed on the endpoint's registered context declaration, plus the
+        team when that team has a tenant policy overlay: the overlay's
+        cache knobs (``_remember`` reads ``key[3]``) then apply to its
+        own partition.  Setting or clearing an overlay needs no cache
+        drop — the old partition's entries simply become unreachable and
+        age out of the LRU.
+        """
+        fields = self.registry.context_fields(endpoint)
+        if (
+            fields is not None
+            and "team_id" not in fields
+            and request.context.team_id in self._tenant_policies
+        ):
+            fields = fields | _TENANT_FIELD
+        return request_key(endpoint, request, fields)
 
     def _memo_stack(self) -> list[dict]:
         stack = getattr(self._memos, "stack", None)

@@ -38,6 +38,7 @@ from repro.providers.base import (
     Representation,
     ScoredArtifact,
     depends_on,
+    reads_context,
 )
 from repro.providers.fields import FieldResolver
 from repro.providers.registry import EndpointRegistry
@@ -65,6 +66,7 @@ class ExtendedProviders:
         }
 
     @depends_on(DOMAIN_ENTITIES)
+    @reads_context("limit")
     def unionable(self, request: ProviderRequest) -> ProviderResult:
         """Tables union-compatible with the input table (schema Jaccard)."""
         artifact_id = request.input("artifact")
@@ -81,6 +83,7 @@ class ExtendedProviders:
         return ProviderResult(representation=Representation.LIST, items=items)
 
     @depends_on(DOMAIN_USAGE, DOMAIN_ENTITIES)
+    @reads_context("limit")
     def stale(self, request: ProviderRequest) -> ProviderResult:
         """Artifacts unviewed for STALE_AFTER_DAYS or badged deprecated.
 
@@ -113,6 +116,7 @@ class ExtendedProviders:
         )
 
     @depends_on(DOMAIN_ENTITIES)
+    @reads_context("limit")
     def has_column(self, request: ProviderRequest) -> ProviderResult:
         """Tables/datasets containing a column named like the input text."""
         wanted = request.input("text").lower()
@@ -142,6 +146,7 @@ class ExtendedProviders:
         )
 
     @depends_on(DOMAIN_ENTITIES, DOMAIN_LINEAGE)
+    @reads_context("limit")
     def orphans(self, request: ProviderRequest) -> ProviderResult:
         """Artifacts with no lineage edges in either direction."""
         items = []

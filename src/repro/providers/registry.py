@@ -20,6 +20,8 @@ from repro.providers.base import (
     ProviderRequest,
     ProviderResult,
     ResultPatcher,
+    coerce_context_fields,
+    declared_context,
     declared_dependencies,
     declared_estimator,
     declared_patcher,
@@ -55,6 +57,10 @@ class EndpointRegistry:
         # endpoint cannot patch cached results in place; the execution
         # layer then drops them on dependent writes (drop-and-refetch).
         self._patchers: dict[str, ResultPatcher] = {}
+        # Declared request-context fields per uri.  Absent uri means
+        # undeclared: the execution layer then keys the endpoint's
+        # fetches on every context field (user, team and limit).
+        self._context: dict[str, frozenset[str]] = {}
         # Bumped on every (un)registration; the execution layer keys
         # cache validity on it so swapping an endpoint drops its results.
         self._version = 0
@@ -86,6 +92,7 @@ class EndpointRegistry:
         dependencies: Iterable[str] | None = None,
         estimator: Estimator | None = None,
         patcher: ResultPatcher | None = None,
+        context: Iterable[str] | None = None,
     ) -> None:
         """Register *endpoint* under *uri*.
 
@@ -109,6 +116,14 @@ class EndpointRegistry:
         patches_with`).  When omitted, it is auto-discovered from the
         endpoint's decoration; with neither, dependent writes drop the
         endpoint's cached results instead of patching them.
+
+        *context* names the :class:`~repro.providers.base.RequestContext`
+        fields (``user_id``, ``team_id``, ``limit``) that can change the
+        endpoint's answer; the execution engine keys fetches on those
+        only (see :func:`~repro.providers.base.reads_context`, the
+        decorator equivalent).  When omitted, it is auto-discovered from
+        the endpoint's decoration; with neither, fetches are keyed on
+        every context field.
         """
         parse_endpoint_uri(uri)
         if uri in self._endpoints and not replace:
@@ -121,6 +136,10 @@ class EndpointRegistry:
             estimator = declared_estimator(endpoint)
         if patcher is None:
             patcher = declared_patcher(endpoint)
+        if context is None:
+            fields = declared_context(endpoint)
+        else:
+            fields = coerce_context_fields(context)
         self._endpoints[uri] = endpoint
         if deps is None:
             self._dependencies.pop(uri, None)
@@ -134,6 +153,10 @@ class EndpointRegistry:
             self._patchers.pop(uri, None)
         else:
             self._patchers[uri] = patcher
+        if fields is None:
+            self._context.pop(uri, None)
+        else:
+            self._context[uri] = fields
         self._version += 1
         self._registered_at[uri] = self._version
 
@@ -142,6 +165,7 @@ class EndpointRegistry:
             self._dependencies.pop(uri, None)
             self._estimators.pop(uri, None)
             self._patchers.pop(uri, None)
+            self._context.pop(uri, None)
             self._registered_at.pop(uri, None)
             self._version += 1
 
@@ -156,6 +180,11 @@ class EndpointRegistry:
     def patcher(self, uri: str) -> ResultPatcher | None:
         """Declared cache delta patcher for *uri*; ``None`` when absent."""
         return self._patchers.get(uri)
+
+    def context_fields(self, uri: str) -> frozenset[str] | None:
+        """Declared request-context fields for *uri*; ``None`` when
+        undeclared (keyed on every field)."""
+        return self._context.get(uri)
 
     def registration_generation(self, uri: str) -> int:
         """Version stamp of *uri*'s current registration (0 = never)."""

@@ -21,6 +21,7 @@ interleaving over the sqlite backend with concurrent readers.
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -308,6 +309,43 @@ class TestSingleFlight:
         )
         assert endpoint.calls == 1
         assert engine.stats.single_flights == 11
+
+    def test_user_agnostic_fetches_coalesce_across_users(self):
+        """Distinct users and teams share one key on an endpoint that
+        declares it reads no context: one invocation, every other thread
+        joins it; a per-user endpoint beside it stays keyed per user."""
+        shared = CountingEndpoint(latency_s=0.05)
+        personal = CountingEndpoint(latency_s=0.05)
+        registry = EndpointRegistry()
+        registry.register("x://shared", shared, context=())
+        registry.register("x://personal", personal, context=("user_id",))
+        engine = ExecutionEngine(
+            registry,
+            policy=ExecutionPolicy.defaults().replace(cache_ttl_s=0),
+        )
+
+        def fetch(i):
+            return (
+                engine.execute("x://shared", ProviderRequest(
+                    context=RequestContext(
+                        user_id=f"u-{i}", team_id=f"t-{i % 3}", limit=i
+                    )
+                )),
+                engine.execute("x://personal", ProviderRequest(
+                    context=RequestContext(user_id=f"u-{i}")
+                )),
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            outcomes = _hammer(12, fetch)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(o.status is FetchStatus.OK for pair in outcomes for o in pair)
+        assert shared.calls == 1
+        assert engine.stats.endpoint("x://shared").single_flights == 11
+        assert personal.calls == 12
 
     def test_distinct_keys_do_not_coalesce(self):
         endpoint = CountingEndpoint(latency_s=0.01)

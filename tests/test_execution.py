@@ -31,6 +31,7 @@ from repro.providers.base import (
     RequestContext,
     ScoredArtifact,
     list_result,
+    reads_context,
 )
 from repro.providers.execution import (
     BreakerPolicy,
@@ -93,6 +94,158 @@ class TestRequestKey:
     def test_endpoint_participates(self):
         request = ProviderRequest()
         assert request_key("x://p", request) != request_key("x://q", request)
+
+
+def _ctx(user="", team="", limit=20, **inputs):
+    return ProviderRequest(
+        inputs=inputs,
+        context=RequestContext(user_id=user, team_id=team, limit=limit),
+    )
+
+
+class TestDeclaredContextKeys:
+    """The engine keys a fetch on the context fields its endpoint
+    declares (``reads_context`` / ``register(context=)``) only."""
+
+    def test_no_fields_is_the_full_key(self):
+        request = _ctx("u-1", "t-1", 7, badge="gold")
+        full = ("x://p", (("badge", "gold"),), "u-1", "t-1", 7)
+        assert request_key("x://p", request) == full
+        assert request_key("x://p", request, None) == full
+
+    def test_undeclared_fields_get_blank_slots(self):
+        request = _ctx("u-1", "t-1", 7)
+        assert request_key("x://p", request, frozenset()) == (
+            "x://p", (), "", "", 0
+        )
+        assert request_key("x://p", request, frozenset({"limit"})) == (
+            "x://p", (), "", "", 7
+        )
+
+    def test_user_agnostic_endpoint_shared_across_users_and_teams(
+        self, tiny_registry
+    ):
+        engine = ExecutionEngine(tiny_registry)
+        a = engine.execute("catalog://of_type",
+                           _ctx("u-ann", "t-1", artifact_type="table"))
+        b = engine.execute("catalog://of_type",
+                           _ctx("u-cyd", "t-2", 5, artifact_type="table"))
+        assert a.result == b.result
+        assert engine.stats.endpoint("catalog://of_type").calls == 1
+        assert engine.stats.endpoint("catalog://of_type").cache_hits == 1
+
+    def test_per_user_endpoint_keyed_per_user(self, tiny_registry):
+        engine = ExecutionEngine(tiny_registry)
+        engine.execute("catalog://recents", _ctx("u-ann", "t-1"))
+        engine.execute("catalog://recents", _ctx("u-bob", "t-1"))
+        assert engine.stats.endpoint("catalog://recents").calls == 2
+
+    def test_undeclared_endpoint_keeps_the_full_key(self, counting_registry):
+        registry, endpoint = counting_registry
+        assert registry.context_fields("x://count") is None
+        engine = ExecutionEngine(registry)
+        request = _ctx("u-1", "t-1")
+        assert engine._key("x://count", request) == request_key(
+            "x://count", request
+        )
+        engine.execute("x://count", request)
+        engine.execute("x://count", _ctx("u-2", "t-1"))
+        engine.execute("x://count", _ctx("u-1", "t-2"))
+        assert endpoint.calls == 3
+
+    def test_decorator_and_register_argument_agree(self):
+        registry = EndpointRegistry()
+        decorated = reads_context("limit")(CountingEndpoint())
+        registry.register("x://decorated", decorated)
+        registry.register("x://argument", CountingEndpoint(), context=["limit"])
+        registry.register("x://override", decorated, context=())
+        assert registry.context_fields("x://decorated") == {"limit"}
+        assert registry.context_fields("x://argument") == {"limit"}
+        assert registry.context_fields("x://override") == frozenset()
+        with pytest.raises(ValueError):
+            registry.register("x://bad", CountingEndpoint(), context=["user"])
+        with pytest.raises(ValueError):
+            reads_context("team")
+
+    def test_tenant_overlay_partitions_a_shared_endpoint(self):
+        registry = EndpointRegistry()
+        endpoint = CountingEndpoint()
+        registry.register("x://shared", endpoint, context=())
+        engine = ExecutionEngine(registry)
+        engine.set_tenant_policy(
+            "t-cold", ExecutionPolicy.defaults().replace(cache_ttl_s=0)
+        )
+        engine.execute("x://shared", _ctx("u-1", "t-warm"))
+        assert endpoint.calls == 1
+        # The overlay tenant is never served the other tenant's entry,
+        # and its own answers are never cached (ttl 0).
+        cold = engine.execute("x://shared", _ctx("u-2", "t-cold"))
+        assert cold.fresh and endpoint.calls == 2
+        engine.execute("x://shared", _ctx("u-2", "t-cold"))
+        assert endpoint.calls == 3
+        # Other tenants without an overlay still share the warm entry.
+        engine.execute("x://shared", _ctx("u-3", "t-other"))
+        assert endpoint.calls == 3
+        # Clearing the overlay rejoins the shared slot: no cache drop,
+        # no refetch.
+        engine.clear_tenant_policy("t-cold")
+        engine.execute("x://shared", _ctx("u-2", "t-cold"))
+        assert endpoint.calls == 3
+        assert engine.cache_size == 1
+
+    def test_in_batch_dedup_coalesces_across_users(self):
+        registry = EndpointRegistry()
+        endpoint = CountingEndpoint()
+        registry.register("x://shared", endpoint, context=())
+        engine = ExecutionEngine(
+            registry,
+            policy=ExecutionPolicy.defaults().replace(cache_ttl_s=0),
+        )
+        outcomes = engine.execute_many([
+            ("x://shared", _ctx("u-1", "t-1")),
+            ("x://shared", _ctx("u-2", "t-2", 3)),
+            ("x://shared", _ctx("u-3")),
+        ])
+        assert all(o.ok for o in outcomes)
+        assert endpoint.calls == 1
+        assert engine.stats.dedups == 2
+
+    def test_single_flight_coalesces_across_users(self):
+        entered = threading.Event()
+        release = threading.Event()
+        calls = []
+
+        def slow(request):
+            calls.append(request.context.user_id)
+            entered.set()
+            release.wait(timeout=5)
+            return list_result([ScoredArtifact("a-1")])
+
+        registry = EndpointRegistry()
+        registry.register("x://shared", slow, context=())
+        engine = ExecutionEngine(
+            registry,
+            policy=ExecutionPolicy.defaults().replace(cache_ttl_s=0),
+        )
+        leader = threading.Thread(
+            target=lambda: engine.execute("x://shared", _ctx("u-1", "t-1"))
+        )
+        leader.start()
+        assert entered.wait(timeout=5)
+        await_flight = engine._await_flight
+
+        def joined(*args):
+            # The waiter holds the leader's flight now: let it finish.
+            release.set()
+            return await_flight(*args)
+
+        engine._await_flight = joined
+        outcome = engine.execute("x://shared", _ctx("u-2", "t-2"))
+        leader.join(timeout=5)
+        assert outcome.ok
+        assert outcome.result.artifact_ids() == ["a-1"]
+        assert calls == ["u-1"]
+        assert engine.stats.single_flights == 1
 
 
 class TestCache:

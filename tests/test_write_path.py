@@ -538,6 +538,73 @@ class TestEngineDeltaPatching:
 # -- sqlite write-ahead journal mirror --------------------------------------
 
 
+class TestPatchingSharedEntries:
+    """Patchers see the request rebuilt from the cache key: per-user
+    entries keep their user, shared entries arrive with the undeclared
+    context fields blank.  Either way a patched entry must equal what
+    each requester would get from a refetch."""
+
+    _REQUESTERS = (("u1", "t1"), ("u2", "t1"), ("u3", "t2"))
+    _INPUTS = {
+        "catalog://owned_by": {"user": "u1"},
+        "catalog://of_type": {"artifact_type": "table"},
+    }
+
+    def _request(self, uri, user, team):
+        return ProviderRequest(
+            inputs=self._INPUTS.get(uri, {}),
+            context=RequestContext(user_id=user, team_id=team),
+        )
+
+    def test_patched_entries_equal_refetch_for_every_requester(self):
+        store = _seeded_store()
+        store.record("a0", "u1", "view")
+        store.record("a1", "u2", "favorite")
+        registry, engine = _engine(store)
+        uris = ("catalog://recents", "catalog://favorites",
+                "catalog://most_viewed", "catalog://owned_by",
+                "catalog://of_type")
+        for uri in uris:
+            for user, team in self._REQUESTERS:
+                engine.execute(uri, self._request(uri, user, team))
+        calls = {uri: engine.stats.endpoint(uri).calls for uri in uris}
+        assert calls == {
+            "catalog://recents": 3,  # keyed per user
+            "catalog://favorites": 3,
+            "catalog://most_viewed": 1,  # one entry shared by all three
+            "catalog://owned_by": 1,
+            "catalog://of_type": 1,
+        }
+        stream = store.stream(window_s=3600.0, max_batch=64)
+        for aid, uid, action in (
+            ("a2", "u1", "view"), ("a3", "u3", "favorite"),
+            ("a4", "u2", "view"), ("a2", "u3", "view"),
+        ):
+            stream.record(aid, uid, action)
+        stream.flush()
+        store.add_user(User(id="u4", name="Dee", team_ids=("t2",)))
+        for uri in uris:
+            for user, team in self._REQUESTERS:
+                request = self._request(uri, user, team)
+                served = engine.execute(uri, request)
+                assert served.fresh
+                fresh = registry.resolve(uri)(request)
+                if uri == "catalog://of_type":
+                    # Untouched by usage; its advisory view counts may
+                    # drift (the documented contract), membership not.
+                    _assert_matches_oracle(
+                        served.result, fresh, False, (uri, user)
+                    )
+                else:
+                    assert served.result == fresh, (uri, user)
+        totals = engine.stats.snapshot()["totals"]
+        assert totals["delta_patches"] >= 5
+        assert totals["invalidations"] == 0
+        assert {
+            uri: engine.stats.endpoint(uri).calls for uri in uris
+        } == calls  # every read after the writes was served from cache
+
+
 class TestSqliteJournal:
     def test_events_journalled_on_flush(self, tmp_path):
         path = tmp_path / "catalog.db"
