@@ -228,6 +228,15 @@ class CatalogStore:
         self._mutated(DOMAIN_MEMBERSHIP)
         return user
 
+    def set_user(self, user: User) -> User:
+        """Replace an existing user (e.g. a rename or new team list)."""
+        if self._backend.get_user(user.id) is None:
+            raise UnknownEntityError("user", user.id)
+        self._backend.put_user(user)
+        self._log_event(MembershipEventRecord("user", user.id, added=False))
+        self._mutated(DOMAIN_MEMBERSHIP)
+        return user
+
     def add_team(self, team: Team) -> Team:
         if self._backend.get_team(team.id) is not None:
             raise DuplicateEntityError("team", team.id)

@@ -66,6 +66,11 @@ class View:
     ``view_id`` is stable per (provider, inputs) so a UI can key tabs on
     it; ``provider_name`` links back to the spec entry the view was
     generated from.
+
+    Views are shared: ``ViewFactory.build`` memoizes them and hands the
+    same instance to every caller whose build matches, so a view —
+    including its ``inputs`` dict — must never be mutated.  Derive a new
+    view instead (:meth:`filtered`, ``dataclasses.replace``).
     """
 
     view_id: str

@@ -4,9 +4,21 @@
 representation turns into a concrete view.  List-like payloads are ranked
 with the spec's effective weights before display, so Listing 1 retunes
 every generated view without code changes.
+
+Built views are memoized inside ``build``.  An identical build — the
+same result object, provider, inputs, limit and staleness — returns the
+view built before, as long as the catalog's version and clock have not
+moved since.  Returned views are therefore shared between callers and
+must not be mutated (``View.inputs`` included).  Views ranked on a field
+served by a host resolver (``FieldResolver.register``) are always built
+afresh, since such a resolver may read state outside the catalog.  See
+"View memo" in ``docs/execution.md``.
 """
 
 from __future__ import annotations
+
+import threading
+from collections import OrderedDict
 
 from repro.catalog.store import CatalogStore
 from repro.core.ranking import Ranker
@@ -18,23 +30,63 @@ from repro.core.views.graph import GraphView, GraphViewEdge
 from repro.core.views.hierarchy import HierarchyView, TreeNode
 from repro.core.views.listing import ListView, TilesView
 from repro.errors import RepresentationError
+from repro.obs.metrics import default_registry
 from repro.providers.base import (
     HierarchyNode,
     ProviderResult,
     Representation,
 )
+from repro.providers.execution import CachePolicy
 
 #: How many preview cards a category group carries.
 CATEGORY_PREVIEW_SIZE = 5
 
+#: Representations whose builders rank with the spec's weights.
+_RANKED = (Representation.LIST, Representation.TILES, Representation.CATEGORIES)
+
+_MEMO_HITS = default_registry().counter(
+    "views_memo_hits",
+    ("representation",),
+    "ViewFactory.build calls served from the view memo.",
+)
+_MEMO_MISSES = default_registry().counter(
+    "views_memo_misses",
+    ("representation",),
+    "ViewFactory.build calls that built the view (memo miss or bypass).",
+)
+
 
 class ViewFactory:
-    """Builds concrete views from provider results."""
+    """Builds concrete views from provider results.
 
-    def __init__(self, store: CatalogStore, spec: HumboldtSpec, ranker: Ranker):
+    *max_entries* bounds the view memo (least recently used out); the
+    interface passes its engine's ``cache.max_entries``, so the memo
+    holds about one view per cached provider result.
+    """
+
+    def __init__(
+        self,
+        store: CatalogStore,
+        spec: HumboldtSpec,
+        ranker: Ranker,
+        max_entries: int = CachePolicy.max_entries,
+    ):
         self.store = store
         self.spec = spec
         self.ranker = ranker
+        self._weight_fields = {
+            provider.name: frozenset(
+                w.field for w in spec.effective_ranking(provider.name)
+            )
+            for provider in spec.providers
+        }
+        self._max_entries = max_entries
+        self._lock = threading.Lock()
+        # key -> (result, view).  The entry holds the result so its id,
+        # part of the key, cannot be reused while the entry lives.
+        self._memo: OrderedDict[tuple, tuple[ProviderResult, View]] = OrderedDict()
+        # (store version, clock) the entries were built under.
+        self._stamp: tuple = (-1, float("-inf"))
 
     def build(
         self,
@@ -61,7 +113,76 @@ class ViewFactory:
         layer's stale-while-revalidate path); *notice* carries the
         human-readable reason.  Stale views are also flagged ``degraded``
         so renderers surface them.
+
+        The view comes from the memo when this exact build already ran
+        under the current catalog version and clock; the returned view
+        may be shared and must not be mutated.
         """
+        inputs = dict(inputs or {})
+        # The stamp is read before building: a build that straddles a
+        # write or a clock advance is stamped with the older state, so
+        # no lookup after the write returns can be served from it.
+        stamp = (self.store.version, self.store.clock.now())
+        key = self._memo_key(provider, result, inputs, limit, stale, notice)
+        representation = provider.representation.value
+        if key is not None:
+            with self._lock:
+                if stamp != self._stamp:
+                    if stamp > self._stamp:
+                        self._memo.clear()
+                        self._stamp = stamp
+                else:
+                    entry = self._memo.get(key)
+                    if entry is not None:
+                        self._memo.move_to_end(key)
+                        _MEMO_HITS.labels(representation).inc()
+                        return entry[1]
+        _MEMO_MISSES.labels(representation).inc()
+        view = self._build(provider, result, inputs, limit, stale, notice)
+        if key is not None:
+            with self._lock:
+                if self._stamp == stamp:
+                    self._memo[key] = (result, view)
+                    while len(self._memo) > self._max_entries:
+                        self._memo.popitem(last=False)
+        return view
+
+    def _memo_key(
+        self,
+        provider: ProviderSpec,
+        result: ProviderResult,
+        inputs: dict[str, str],
+        limit: int,
+        stale: bool,
+        notice: str,
+    ) -> tuple | None:
+        """The memo key of a build, or None when it must bypass the memo.
+
+        The result enters by identity: hashing a ``ProviderResult`` would
+        walk its whole payload.
+        """
+        if provider.representation in _RANKED:
+            fields = self._weight_fields.get(provider.name, ())
+            if self.ranker.resolver.registered_any(fields):
+                return None
+        return (
+            id(result),
+            provider,
+            tuple(sorted(inputs.items())),
+            limit,
+            stale,
+            notice,
+        )
+
+    def _build(
+        self,
+        provider: ProviderSpec,
+        result: ProviderResult,
+        inputs: dict[str, str],
+        limit: int,
+        stale: bool,
+        notice: str,
+    ) -> View:
         if result.representation != provider.representation:
             raise RepresentationError(
                 provider.name,
@@ -69,7 +190,6 @@ class ViewFactory:
                 f"endpoint returned {result.representation.value!r}",
             )
         result.validate(provider.name)
-        inputs = dict(inputs or {})
         common = {
             "view_id": view_id_for(provider.name, inputs),
             "provider_name": provider.name,

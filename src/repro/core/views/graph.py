@@ -47,7 +47,21 @@ class GraphView(View):
         return sorted(found)
 
     def layout(self, seed: int = 42) -> dict[str, tuple[float, float]]:
-        """Deterministic 2-D positions for drawing."""
+        """Deterministic 2-D positions for drawing.
+
+        Computed once per view instance and seed: views are immutable
+        and shared (the view memo returns the same instance on every
+        open), so the positions are kept in the instance ``__dict__``,
+        outside the dataclass fields (``==``, ``repr`` and ``hash`` do
+        not see them).  Callers get a copy.
+        """
+        layouts = self.__dict__.setdefault("_layouts", {})
+        positions = layouts.get(seed)
+        if positions is None:
+            positions = layouts[seed] = self._spring_layout(seed)
+        return dict(positions)
+
+    def _spring_layout(self, seed: int) -> dict[str, tuple[float, float]]:
         graph = nx.Graph()
         graph.add_nodes_from(self.artifact_ids())
         for edge in self.edges:

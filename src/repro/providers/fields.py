@@ -49,6 +49,8 @@ _USAGE_ROW_COLUMNS = {
     "unique_viewers": 4,
 }
 _LAST_VIEWED_COLUMN = 5
+#: Fields the batch path reads from the usage snapshot.
+_SNAPSHOT_FIELDS = frozenset((*_USAGE_ROW_COLUMNS, "recency"))
 _ZERO_ROW = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
@@ -70,13 +72,10 @@ class FieldResolver:
             "certified": lambda aid: self._has_badge(aid, "certified"),
             "deprecated": lambda aid: self._has_badge(aid, "deprecated"),
         }
-        # The built-in usage resolvers, frozen at construction: the batch
-        # path may only snapshot a field while its resolver is still the
-        # built-in one — a host that re-registers ``views`` must win.
-        self._builtin_usage: dict[str, Callable[[str], float]] = {
-            field: self._resolvers[field]
-            for field in (*_USAGE_ROW_COLUMNS, "recency")
-        }
+        # The built-in resolvers, frozen at construction: a host resolver
+        # installed through :meth:`register` (new or re-registered name)
+        # is any entry that is no longer the one frozen here.
+        self._builtin: dict[str, Callable[[str], float]] = dict(self._resolvers)
         # aid -> (views, opens, edits, favorite, unique_viewers,
         # last_viewed_at), rebuilt in one pass over the usage aggregates
         # whenever the usage domain version moves (PR 2's counters).
@@ -114,6 +113,19 @@ class FieldResolver:
         """Install a custom field resolver (organisation-specific metadata)."""
         self._resolvers[field] = resolver
 
+    def registered_any(self, fields: Iterable[str]) -> bool:
+        """True when any of *fields* is served by a resolver installed
+        through :meth:`register` rather than a built-in one.
+
+        A host resolver may read state outside the catalog, so values it
+        returns are not covered by the store's version counter; fields
+        resolved from an artifact's ``extra`` mapping are.
+        """
+        return any(
+            self._resolvers.get(field) is not self._builtin.get(field)
+            for field in fields
+        )
+
     # -- batch resolution ------------------------------------------------------
 
     def values_batch(
@@ -140,8 +152,7 @@ class FieldResolver:
             # Only snapshot fields still served by the built-in usage
             # resolvers; a re-registered field must go through its
             # custom resolver even in batch mode.
-            builtin = self._builtin_usage.get(field)
-            if builtin is None or self._resolvers.get(field) is not builtin:
+            if field not in _SNAPSHOT_FIELDS or self.registered_any((field,)):
                 columns[field] = [self.value(aid, field) for aid in ids]
                 continue
             if rows is None:

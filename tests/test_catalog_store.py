@@ -77,6 +77,20 @@ class TestEntities:
         with pytest.raises(UnknownEntityError):
             tiny_store.set_team(Team(id="t-9", name="Ghost"))
 
+    def test_set_user_renames(self, tiny_store):
+        before = tiny_store.domain_version("membership")
+        user = tiny_store.user("u-ann")
+        tiny_store.set_user(User(id="u-ann", name="Ann Park", role=user.role,
+                                 team_ids=user.team_ids))
+        assert tiny_store.user("u-ann").name == "Ann Park"
+        assert tiny_store.find_user_by_name("Ann Lee") is None
+        assert tiny_store.find_user_by_name("Ann Park").id == "u-ann"
+        assert tiny_store.domain_version("membership") == before + 1
+
+    def test_set_user_unknown_raises(self, tiny_store):
+        with pytest.raises(UnknownEntityError):
+            tiny_store.set_user(User(id="u-ghost", name="Ghost"))
+
 
 class TestIndexes:
     def test_by_type(self, tiny_store):

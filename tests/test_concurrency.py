@@ -710,3 +710,148 @@ class TestStreamingWritersUnderLoad:
                 fresh = registry.resolve(uri)(request)
                 assert served.artifact_ids() == fresh.artifact_ids(), uri
         engine.close()
+
+
+class TestViewMemoRaces:
+    """The view memo in ``ViewFactory.build`` under concurrent writes."""
+
+    @staticmethod
+    def _app():
+        from repro.synth import SynthConfig, generate_catalog
+        from repro.workbook.app import WorkbookApp
+
+        store = generate_catalog(
+            SynthConfig(seed=5, n_tables=12, n_users=6, n_teams=2)
+        )
+        app = WorkbookApp(store)
+        teams = [t.id for t in store.teams()]
+        app.customization.team_layer(teams[0]).hide("types")
+        app.customization.team_layer(teams[1]).hide("newest")
+        return app, teams
+
+    @staticmethod
+    def _fresh(app, provider, result, **kwargs):
+        from repro.core.views.factory import ViewFactory
+
+        interface = app.interface
+        return ViewFactory(
+            interface.store, interface.spec, interface.ranker
+        ).build(provider, result, **kwargs)
+
+    def test_build_straddling_a_write_is_not_served_after_it(
+        self, monkeypatch
+    ):
+        """A build blocked between its ranking and its cards while a
+        write lands must not be served once the write has returned."""
+        from repro.core.views import factory as factory_module
+
+        app, _ = self._app()
+        interface = app.interface
+        provider = interface.spec.provider("most_viewed")
+        result = interface.engine.execute(
+            provider.endpoint, ProviderRequest()
+        ).result
+        entered, release = threading.Event(), threading.Event()
+        make_card = factory_module.make_card
+
+        def blocking_make_card(store, artifact_id, score=0.0):
+            if threading.current_thread() is not threading.main_thread():
+                if not entered.is_set():
+                    entered.set()
+                    assert release.wait(10)
+            return make_card(store, artifact_id, score=score)
+
+        monkeypatch.setattr(factory_module, "make_card", blocking_make_card)
+        straddled = []
+        builder = threading.Thread(target=lambda: straddled.append(
+            interface.factory.build(provider, result, limit=5)
+        ))
+        builder.start()
+        assert entered.wait(10)
+        # Lift the last-ranked artifact into the head.
+        store = interface.store
+        last = result.items[-1].artifact_id
+        most = max(store.usage_stats(i.artifact_id).view_count
+                   for i in result.items)
+        user = store.users()[0].id
+        for _ in range(most + 1):
+            store.record(last, user, "view")
+        release.set()
+        builder.join(10)
+        assert not builder.is_alive()
+        (straddled,) = straddled
+        after = interface.factory.build(provider, result, limit=5)
+        assert after is not straddled
+        assert repr(after) == repr(self._fresh(app, provider, result, limit=5))
+        assert last in after.artifact_ids()
+        assert last not in straddled.artifact_ids()
+        app.close()
+
+    def test_overview_and_explore_hammer_with_concurrent_writes(self):
+        """Two reader threads open overviews and explore panels while a
+        writer records usage, grants badges and advances the clock.  A
+        returned view is compared with a fresh build whenever no write
+        landed during its build (writes hold a lock; the comparison runs
+        under it), and no team ever sees the overview provider it hides."""
+        app, teams = self._app()
+        interface, store = app.interface, app.store
+        write_lock = threading.Lock()
+        tally = {"checked": 0, "shared": 0}
+        seen: dict[int, object] = {}
+        real = interface.factory.build
+
+        def build(provider, result, **kwargs):
+            before = (store.version, store.clock.now())
+            view = real(provider, result, **kwargs)
+            with write_lock:
+                if (store.version, store.clock.now()) == before:
+                    fresh = self._fresh(app, provider, result, **kwargs)
+                    assert repr(view) == repr(fresh), provider.name
+                    tally["checked"] += 1
+                    tally["shared"] += id(view) in seen
+                    seen[id(view)] = view
+            return view
+
+        interface.factory.build = build
+        users = [u.id for u in store.users()]
+        artifacts = store.artifact_ids()[:6]
+        hidden = {teams[0]: "types", teams[1]: "newest"}
+        done = threading.Event()
+
+        def reader(index: int) -> None:
+            rounds = 0
+            while not done.is_set() or rounds < 10:
+                rounds += 1
+                user = users[(index + rounds) % len(users)]
+                team = teams[rounds % 2]
+                tabs = interface.overview_tabs(user_id=user, team_id=team)
+                names = {tab.provider_name for tab in tabs}
+                assert hidden[team] not in names
+                assert hidden[teams[(rounds + 1) % 2]] in names
+                app.exploration.explore(
+                    artifacts[rounds % len(artifacts)], user_id=user, limit=5
+                )
+
+        def writer() -> None:
+            for step in range(40):
+                with write_lock:
+                    if step % 5 == 4:
+                        store.clock.advance(days=0.5)
+                    elif step % 7 == 6:
+                        store.grant_badge(artifacts[step % 6], "certified",
+                                          users[0])
+                    else:
+                        store.record(artifacts[step % 6], users[step % 3],
+                                     "view")
+                done.wait(0.005)
+            done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            _hammer(3, lambda i: writer() if i == 2 else reader(i))
+        finally:
+            sys.setswitchinterval(interval)
+        assert tally["checked"] > 50
+        assert tally["shared"] > 0
+        app.close()

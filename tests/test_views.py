@@ -1,5 +1,7 @@
 """Tests for view models and the view factory."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.ranking import Ranker
@@ -108,6 +110,45 @@ class TestFactoryOtherShapes:
         result = fetch(tiny_providers, "joinable", {"artifact": "t-orders"})
         view = factory.build(spec.provider("joinable"), result)
         assert view.layout() == view.layout()
+
+    def test_graph_layout_computed_once_per_instance_and_seed(
+        self, factory, tiny_providers, spec, monkeypatch
+    ):
+        from repro.core.views import graph as graph_module
+
+        calls = []
+        spring_layout = graph_module.nx.spring_layout
+
+        def counting(graph, seed=None):
+            calls.append(seed)
+            return spring_layout(graph, seed=seed)
+
+        monkeypatch.setattr(graph_module.nx, "spring_layout", counting)
+        result = fetch(tiny_providers, "joinable", {"artifact": "t-orders"})
+        view = factory.build(spec.provider("joinable"), result)
+        first = view.layout()
+        first["t-orders"] = (9.0, 9.0)  # callers get a copy
+        assert view.layout() == view.layout(seed=42) != first
+        view.layout(seed=7)
+        view.layout(seed=7)
+        assert calls == [42, 7]
+        # A filtered copy is another instance and lays itself out.
+        view.filtered({"t-orders", "t-customers"}).layout()
+        assert calls == [42, 7, 42]
+
+    def test_graph_layout_memo_is_invisible_to_the_dataclass(
+        self, factory, tiny_providers, spec
+    ):
+        result = fetch(tiny_providers, "joinable", {"artifact": "t-orders"})
+        view = factory.build(spec.provider("joinable"), result)
+        twin = dataclasses.replace(view)
+        before = repr(view)
+        view.layout()
+        assert repr(view) == before
+        assert view == twin
+        with pytest.raises(TypeError):  # ``inputs`` is a dict
+            hash(view)
+        assert "_layouts" not in repr(view)
 
     def test_categories_with_previews(self, factory, tiny_providers, spec):
         result = fetch(tiny_providers, "types")
