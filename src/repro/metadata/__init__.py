@@ -13,7 +13,15 @@ embeddings).  This package implements those computations for real:
 * :mod:`repro.metadata.similarity` — semantic + schema (unionability)
   similarity and their ensemble;
 * :mod:`repro.metadata.embedding` — 2-D PCA projections of artifact
-  features for the embedding view.
+  features for the embedding view;
+* :mod:`repro.metadata.indexing` — what the relatedness indexes share:
+  heap selection of the head and :class:`~repro.metadata.indexing.
+  CatalogFollower`, which keeps an index current with catalog writes.
+
+The similarity and joinability indexes answer a lookup in O(candidates)
+and return exactly what scanning the catalog would (ids, scores, order,
+tie-breaks); docs/providers.md ("Relatedness indexes") states the
+contract.
 """
 
 from repro.metadata.embedding import EmbeddingIndex

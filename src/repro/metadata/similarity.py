@@ -9,14 +9,23 @@ section catalogues:
   proxy (Das Sarma et al.);
 * :class:`EnsembleSimilarity` — weighted combination (D3L/Voyager style),
   the repo's ablation target "ensemble vs. single measure".
+
+The semantic and schema measures keep indexes that follow the catalog's
+writes (:class:`~repro.metadata.indexing.CatalogFollower`) and score only
+artifacts sharing a term or a column with the input.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from repro.catalog.model import Artifact
 from repro.catalog.store import CatalogStore
+from repro.metadata.indexing import CatalogFollower, head
 from repro.metadata.text import TfIdfIndex
 
 
@@ -29,72 +38,139 @@ class SimilarityHit:
     source: str  # which measure produced the score
 
 
-class SemanticSimilarity:
-    """TF-IDF cosine similarity over artifact text."""
+class SemanticSimilarity(CatalogFollower):
+    """TF-IDF cosine similarity over artifact text.
+
+    The index follows the catalog (:class:`~repro.metadata.indexing.
+    CatalogFollower`): an artifact whose searchable text changed is
+    re-indexed before the next lookup; a badge grant changes no text and
+    costs nothing.
+    """
 
     name = "semantic"
 
     def __init__(self, store: CatalogStore):
-        self.store = store
+        super().__init__(store)
         self._index = TfIdfIndex()
-        self._built = False
-
-    def build(self) -> "SemanticSimilarity":
-        if self._built:
-            return self
-        for artifact in self.store.artifacts():
-            self._index.add(artifact.id, artifact.searchable_text())
-        self._built = True
-        return self
 
     def add_artifact(self, artifact: Artifact) -> None:
-        self._index.add(artifact.id, artifact.searchable_text())
+        with self._lock:
+            self._index_artifact(artifact)
 
     def similar(self, artifact_id: str, limit: int = 10) -> list[SimilarityHit]:
-        self.build()
+        with self._lock:
+            self._sync()
+            ranked = self._index.similar(artifact_id, limit=limit)
         return [
             SimilarityHit(str(key), round(score, 4), self.name)
-            for key, score in self._index.similar(artifact_id, limit=limit)
+            for key, score in ranked
         ]
 
     def search(self, text: str, limit: int = 10) -> list[SimilarityHit]:
         """Relevance-ranked free-text search (used by the keyword baseline)."""
-        self.build()
+        with self._lock:
+            self._sync()
+            ranked = self._index.search(text, limit=limit)
         return [
             SimilarityHit(str(key), round(score, 4), self.name)
-            for key, score in self._index.search(text, limit=limit)
+            for key, score in ranked
         ]
 
+    def _content(self, artifact: Artifact) -> str:
+        return artifact.searchable_text()
 
-class SchemaSimilarity:
-    """Unionability proxy: Jaccard over typed column-name sets."""
+    def _put(self, artifact_id: str, text: str) -> None:
+        self._index.add(artifact_id, text)
+
+    def _drop(self, artifact_id: str, text: str) -> None:
+        self._index.remove(artifact_id)
+
+    def _reset(self) -> None:
+        self._index = TfIdfIndex()
+
+
+class SchemaSimilarity(CatalogFollower):
+    """Unionability proxy: Jaccard over typed column-name sets.
+
+    An inverted index maps each ``(column name, dtype)`` to the rows of
+    the artifacts having it, and each artifact keeps its frozen column
+    set.  A lookup counts overlaps from the postings of the query's
+    columns (one ``np.bincount``) and scores only artifacts sharing a
+    column, as ``inter / (|q| + |o| - inter)`` — the same integers a set
+    union gives, hence the same floats.  Only scores that can still round
+    into the head are rounded and heap-selected.
+    """
 
     name = "schema"
 
     def __init__(self, store: CatalogStore):
-        self.store = store
+        super().__init__(store)
+        self._reset()
 
-    def _column_set(self, artifact: Artifact) -> set[tuple[str, str]]:
-        return {(c.name.lower(), c.dtype) for c in artifact.columns}
+    def _content(self, artifact: Artifact) -> frozenset[tuple[str, str]]:
+        return frozenset((c.name.lower(), c.dtype) for c in artifact.columns)
+
+    def _put(self, artifact_id: str, columns: frozenset) -> None:
+        row = self._row_of.get(artifact_id)
+        if row is None:
+            row = self._row_of[artifact_id] = len(self._ids)
+            self._ids.append(artifact_id)
+            if row == len(self._sizes):
+                self._sizes = np.resize(self._sizes, max(64, 2 * row))
+        self._sizes[row] = len(columns)
+        for column in columns:
+            self._postings[column].add(row)
+
+    def _drop(self, artifact_id: str, columns: frozenset) -> None:
+        row = self._row_of[artifact_id]
+        for column in columns:
+            self._postings[column].discard(row)
+
+    def _reset(self) -> None:
+        self._postings: dict[tuple[str, str], set[int]] = defaultdict(set)
+        self._ids: list[str] = []  # row -> artifact id
+        self._row_of: dict[str, int] = {}
+        self._sizes = np.zeros(0, dtype=np.int64)  # row -> column count
 
     def similar(self, artifact_id: str, limit: int = 10) -> list[SimilarityHit]:
-        query = self.store.artifact(artifact_id)
-        query_cols = self._column_set(query)
-        if not query_cols:
-            return []
-        hits = []
-        for other in self.store.artifacts():
-            if other.id == artifact_id or not other.columns:
-                continue
-            other_cols = self._column_set(other)
-            union = len(query_cols | other_cols)
-            if union == 0:
-                continue
-            score = len(query_cols & other_cols) / union
-            if score > 0.0:
-                hits.append(SimilarityHit(other.id, round(score, 4), self.name))
-        hits.sort(key=lambda h: (-h.score, h.artifact_id))
-        return hits[:limit]
+        with self._lock:
+            self._sync()
+            query_cols = self._contents.get(artifact_id)
+            if query_cols is None:  # unknown ids raise UnknownEntityError
+                query_cols = self._content(self.store.artifact(artifact_id))
+            if not query_cols:
+                return []
+            overlaps = np.bincount(np.fromiter(
+                chain.from_iterable(
+                    self._postings.get(column, ()) for column in query_cols
+                ),
+                dtype=np.int64,
+            ))
+            own = self._row_of.get(artifact_id)
+            if own is not None and own < len(overlaps):
+                overlaps[own] = 0
+            rows = np.flatnonzero(overlaps)
+            inter = overlaps[rows]
+            scores = inter / (len(query_cols) + self._sizes[rows] - inter)
+            if 0 < limit < rows.size:
+                # Rounding is monotone: nothing scoring below the k-th
+                # score's rounded value, less a rounding step, can round
+                # into the head.
+                kth = np.partition(scores, rows.size - limit)[rows.size - limit]
+                keep = scores >= round(float(kth), 4) - 1e-4
+                rows, scores = rows[keep], scores[keep]
+            ids = self._ids
+            ranked = head(
+                [
+                    (-round(score, 4), ids[row])
+                    for row, score in zip(rows.tolist(), scores.tolist())
+                ],
+                limit,
+            )
+        return [
+            SimilarityHit(other, -negated, self.name)
+            for negated, other in ranked
+        ]
 
 
 class EnsembleSimilarity:
@@ -122,6 +198,7 @@ class EnsembleSimilarity:
 
     def build(self) -> "EnsembleSimilarity":
         self.semantic.build()
+        self.schema.build()
         return self
 
     def similar(self, artifact_id: str, limit: int = 10) -> list[SimilarityHit]:
@@ -139,5 +216,4 @@ class EnsembleSimilarity:
             SimilarityHit(aid, round(score, 4), self.name)
             for aid, score in combined.items()
         ]
-        hits.sort(key=lambda h: (-h.score, h.artifact_id))
-        return hits[:limit]
+        return head(hits, limit, key=lambda h: (-h.score, h.artifact_id))

@@ -3,18 +3,35 @@
 Backs the semantic-similarity provider and the keyword-search baseline's
 relevance ordering.  Vectors are sparse dicts — catalogs have short
 documents and large vocabularies, so dense matrices would waste memory.
+
+Top-k queries run in two passes over per-term *impact postings* (each
+document's ``w / ‖d‖`` for the term, in numpy arrays built with the
+vectors).  One ``np.bincount`` accumulates an approximate cosine for
+every document sharing a query term; only documents within ``1e-9`` of
+the k-th approximate score are rescored with the exact per-candidate
+expression, in its original summation order.  The slack exceeds the
+float error of the approximation by orders of magnitude, so the head —
+scores, order and ``(-score, str(key))`` tie-breaks — is exactly what
+scoring every candidate would give.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import Hashable
+
+import numpy as np
 
 from repro.util.textutil import tokenize
 
 SparseVector = dict[str, float]
+
+#: Rows whose approximate score is within this of the k-th approximate
+#: score are rescored exactly.  The approximation differs from the exact
+#: score by a few ulps (~1e-16 on cosines in [0, 1]).
+RESCORE_SLACK = 1e-9
 
 
 def cosine(left: SparseVector, right: SparseVector) -> float:
@@ -43,7 +60,7 @@ class TfIdfIndex:
         self._df: Counter[str] = Counter()
         self._vectors: dict[Hashable, SparseVector] | None = None
         self._norms: dict[Hashable, float] | None = None
-        self._postings: dict[str, set[Hashable]] = defaultdict(set)
+        self._impacts: _ImpactPostings | None = None
 
     def __len__(self) -> int:
         return len(self._term_counts)
@@ -59,7 +76,6 @@ class TfIdfIndex:
         self._term_counts[key] = counts
         for term in counts:
             self._df[term] += 1
-            self._postings[term].add(key)
         self._vectors = None
 
     def remove(self, key: Hashable) -> None:
@@ -71,7 +87,6 @@ class TfIdfIndex:
             self._df[term] -= 1
             if self._df[term] <= 0:
                 del self._df[term]
-            self._postings[term].discard(key)
         self._vectors = None
 
     def idf(self, term: str) -> float:
@@ -123,19 +138,27 @@ class TfIdfIndex:
         min_score: float,
     ) -> list[tuple[Hashable, float]]:
         assert self._vectors is not None and self._norms is not None
+        assert self._impacts is not None
         # The query norm is a constant of this call; document norms were
         # precomputed alongside the vectors, so scoring a candidate is one
         # sparse dot product — not two norm recomputations per pair.
         query_norm = math.sqrt(sum(w * w for w in query.values()))
-        if query_norm == 0.0:
+        if query_norm == 0.0 or limit <= 0:
             return []
-        # Candidate generation via postings: only documents sharing a term.
-        candidates: set[Hashable] = set()
-        for term in query:
-            candidates.update(self._postings.get(term, ()))
-        candidates.discard(exclude)
+        impacts = self._impacts
+        # Pass 1: approximate cosines of every document sharing a term.
+        approx = impacts.accumulate(query, query_norm)
+        row = impacts.row_of.get(exclude) if exclude is not None else None
+        if row is not None:
+            approx[row] = 0.0
+        rows = np.flatnonzero(approx)
+        if limit < rows.size:
+            scores = approx[rows]
+            kth = np.partition(scores, rows.size - limit)[rows.size - limit]
+            rows = rows[scores >= kth - RESCORE_SLACK]
+        # Pass 2: the exact score of each surviving candidate.
         scored = []
-        for key in candidates:
+        for key in map(impacts.keys.__getitem__, rows.tolist()):
             vector = self._vectors[key]
             dot = sum(
                 weight * vector.get(term, 0.0)
@@ -146,9 +169,6 @@ class TfIdfIndex:
             score = dot / (query_norm * self._norms[key])
             if score > min_score:
                 scored.append((key, score))
-        # Heap-select the head instead of sorting every candidate: top-k
-        # out of c candidates is O(c log k), and similarity queries ask
-        # for ~10 of potentially thousands.
         return heapq.nsmallest(
             limit, scored, key=lambda pair: (-pair[1], str(pair[0]))
         )
@@ -162,5 +182,63 @@ class TfIdfIndex:
             vector = {term: tf * self.idf(term) for term, tf in counts.items()}
             vectors[key] = vector
             norms[key] = math.sqrt(sum(w * w for w in vector.values()))
-        self._vectors = vectors
         self._norms = norms
+        self._impacts = _ImpactPostings(vectors, norms)
+        self._vectors = vectors  # last: a non-None _vectors means ready
+
+
+class _ImpactPostings:
+    """Per-term postings of ``(row, w / ‖d‖)`` in CSR form.
+
+    Row *r* is the *r*-th document key; term *t*'s postings are the
+    slice ``bounds[t]:bounds[t + 1]`` of ``rows`` and ``impacts``.
+    """
+
+    __slots__ = ("keys", "row_of", "term_ids", "rows", "impacts", "bounds")
+
+    def __init__(
+        self,
+        vectors: dict[Hashable, SparseVector],
+        norms: dict[Hashable, float],
+    ):
+        self.keys = list(vectors)
+        self.row_of = {key: row for row, key in enumerate(self.keys)}
+        self.term_ids: dict[str, int] = {}
+        terms: list[int] = []
+        rows: list[int] = []
+        impacts: list[float] = []
+        term_id = self.term_ids.setdefault
+        for row, (key, vector) in enumerate(vectors.items()):
+            norm = norms[key]
+            for term, weight in vector.items():
+                terms.append(term_id(term, len(self.term_ids)))
+                rows.append(row)
+                impacts.append(weight / norm)
+        term_array = np.array(terms, dtype=np.int64)
+        order = np.argsort(term_array, kind="stable")
+        self.rows = np.array(rows, dtype=np.int64)[order]
+        self.impacts = np.array(impacts, dtype=np.float64)[order]
+        self.bounds = np.zeros(len(self.term_ids) + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(term_array, minlength=len(self.term_ids)),
+            out=self.bounds[1:],
+        )
+
+    def accumulate(self, query: SparseVector, query_norm: float) -> np.ndarray:
+        """Approximate cosine of every row against *query* (0 = no shared
+        term)."""
+        rows, weights = [], []
+        for term, weight in query.items():
+            term_id = self.term_ids.get(term)
+            if term_id is None:
+                continue
+            start, stop = self.bounds[term_id], self.bounds[term_id + 1]
+            rows.append(self.rows[start:stop])
+            weights.append(self.impacts[start:stop] * (weight / query_norm))
+        if not rows:
+            return np.zeros(len(self.keys))
+        return np.bincount(
+            np.concatenate(rows),
+            weights=np.concatenate(weights),
+            minlength=len(self.keys),
+        )

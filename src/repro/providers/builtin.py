@@ -582,17 +582,21 @@ class BuiltinProviders:
             raise MissingInputError("similar", "artifact")
         if not self.store.has_artifact(artifact_id):
             return self._list([], Representation.LIST)
-        hits = self.similarity.similar(artifact_id, limit=request.context.limit)
-        items = [
-            ScoredArtifact(
-                artifact_id=hit.artifact_id,
-                score=hit.score,
-                fields=self._fields_for(hit.artifact_id),
+        hits = [
+            hit
+            for hit in self.similarity.similar(
+                artifact_id, limit=request.context.limit
             )
-            for hit in hits
             if self.store.has_artifact(hit.artifact_id)
         ]
-        return ProviderResult(representation=Representation.LIST, items=tuple(items))
+        fields = self._fields_for([hit.artifact_id for hit in hits])
+        items = tuple(
+            ScoredArtifact(
+                artifact_id=hit.artifact_id, score=hit.score, fields=row
+            )
+            for hit, row in zip(hits, fields)
+        )
+        return ProviderResult(representation=Representation.LIST, items=items)
 
     @depends_on(DOMAIN_ENTITIES, DOMAIN_TEXT)
     @reads_context()
@@ -611,18 +615,21 @@ class BuiltinProviders:
     # -- shared helpers -------------------------------------------------------------
 
     def _list(self, ids: list[str], representation: Representation) -> ProviderResult:
+        kept = [aid for aid in ids if self.store.has_artifact(aid)]
         items = tuple(
-            ScoredArtifact(artifact_id=aid, fields=self._fields_for(aid))
-            for aid in ids
-            if self.store.has_artifact(aid)
+            ScoredArtifact(artifact_id=aid, fields=fields)
+            for aid, fields in zip(kept, self._fields_for(kept))
         )
         return ProviderResult(representation=representation, items=items)
 
-    def _fields_for(self, artifact_id: str) -> dict[str, float]:
-        return {
-            field: self.resolver.value(artifact_id, field)
-            for field in ITEM_FIELDS
-        }
+    def _fields_for(self, artifact_ids: list[str]) -> list[dict[str, float]]:
+        """The :data:`ITEM_FIELDS` snapshot of each id, resolved in one
+        batched pass (per id equal to :meth:`FieldResolver.value`)."""
+        columns = self.resolver.values_batch(artifact_ids, ITEM_FIELDS)
+        return [
+            dict(zip(ITEM_FIELDS, row))
+            for row in zip(*(columns[field] for field in ITEM_FIELDS))
+        ]
 
     def _rank_by_views(self, ids: list[str]) -> list[str]:
         """Order *ids* by view count (advisory) without truncating.
@@ -635,10 +642,9 @@ class BuiltinProviders:
         usage events; the view factory truncates after live re-ranking
         instead.
         """
-        return sorted(
-            ids,
-            key=lambda aid: (-self.resolver.value(aid, "views"), aid),
-        )
+        views = self.resolver.values_batch(ids, ("views",))["views"]
+        ranked = sorted(zip(ids, views), key=lambda pair: (-pair[1], pair[0]))
+        return [aid for aid, _ in ranked]
 
     def _resolve_user(self, raw: str) -> str | None:
         """Resolve a user reference: id, exact name, or unique first name."""

@@ -1,7 +1,10 @@
 """Tests for MinHash sketches and LSH."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.metadata import sketches
 from repro.metadata.sketches import (
     LshIndex,
     MinHasher,
@@ -9,6 +12,7 @@ from repro.metadata.sketches import (
     exact_jaccard,
     stable_hash,
 )
+from tests import relatedness_reference as ref
 
 
 class TestStableHash:
@@ -154,3 +158,56 @@ class TestLshIndex:
         signature = hasher.signature(base[:50] + ["q"] * 10)
         hits = {k for k, _ in index.query(signature, threshold=0.2)}
         assert hits <= index.candidates(signature)
+
+
+SETS = (
+    (),
+    ("a",),
+    ("a", "a", "b"),
+    tuple(f"v{i}" for i in range(20)),
+    (),
+    ("b", "a"),
+    tuple(f"v{i}" for i in range(5, 12)) * 2,
+)
+
+
+class TestBatchedSketches:
+    """The batched pass equals sketching each set on its own."""
+
+    @pytest.mark.parametrize("chunk", (1, 3, 7, 1 << 12))
+    def test_signature_matrix_equals_per_set_signatures(self, monkeypatch,
+                                                        chunk):
+        monkeypatch.setattr(sketches, "_SKETCH_CHUNK", chunk)
+        hasher = MinHasher(num_perm=32)
+        matrix = hasher.signature_matrix(SETS)
+        assert matrix.shape == (len(SETS), 32)
+        for row, values in zip(matrix, SETS):
+            assert tuple(row.tolist()) == ref.signature(hasher, values).values
+            assert hasher.signature(values) == ref.signature(hasher, values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(
+        st.tuples(st.sampled_from(("add", "remove", "query")),
+                  st.integers(0, 5), st.integers(0, len(SETS) - 1)),
+        max_size=30,
+    ))
+    def test_lsh_matches_reference_under_adds_and_removes(self, ops):
+        """Row reuse through the free list keeps buckets, candidates and
+        query results equal to the per-pair reference."""
+        hasher = MinHasher(num_perm=16)
+        index, reference = LshIndex(16, 8), ref.ReferenceLsh(16, 8)
+        for op, key, which in ops:
+            signature = ref.signature(hasher, SETS[which] + (str(key),))
+            if op == "add":
+                index.add(key, signature)
+                reference.add(key, signature)
+            elif op == "remove":
+                index.remove(key)
+                reference.remove(key)
+            assert len(index) == len(reference.signatures)
+            assert index.candidates(signature) == \
+                reference.candidates(signature)
+            assert index.query(signature, 0.3) == \
+                reference.query(signature, 0.3)
+        for key, signature in reference.signatures.items():
+            assert index.signature_of(key) == signature

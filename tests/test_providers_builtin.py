@@ -4,7 +4,12 @@ import pytest
 
 from repro.errors import MissingInputError
 from repro.providers.base import ProviderRequest, Representation, RequestContext
-from repro.providers.builtin import group_ids_by
+from repro.providers.builtin import (
+    ITEM_FIELDS,
+    BuiltinProviders,
+    group_ids_by,
+)
+from repro.synth import SynthConfig, generate_catalog
 
 
 def req(inputs=None, user="", team="", limit=20):
@@ -170,6 +175,63 @@ class TestRelatednessProviders:
     def test_embedding_map_covers_catalog(self, tiny_providers, tiny_store):
         result = tiny_providers.embedding_map(req())
         assert len(result.points) == tiny_store.artifact_count
+
+
+class TestBatchedListBodies:
+    """List bodies resolve their item fields in one batched pass; items,
+    order and ``fields`` equal the per-id body they replaced."""
+
+    @staticmethod
+    def per_id_items(providers, ids, rank):
+        resolver = providers.resolver
+        if rank:
+            ids = sorted(ids, key=lambda aid: (-resolver.value(aid, "views"),
+                                               aid))
+        return [
+            (aid, {f: resolver.value(aid, f) for f in ITEM_FIELDS})
+            for aid in ids
+            if providers.store.has_artifact(aid)
+        ]
+
+    @staticmethod
+    def items(result):
+        return [(item.artifact_id, item.fields) for item in result.items]
+
+    def check(self, providers, store):
+        for artifact_type in ("table", "dataset", "workbook"):
+            result = providers.of_type(req({"artifact_type": artifact_type}))
+            assert self.items(result) == self.per_id_items(
+                providers, store.by_type(artifact_type), rank=True
+            )
+        result = providers.most_viewed(req(limit=15))
+        ranked = [aid for aid, _ in store.usage.most_viewed(limit=15)]
+        assert self.items(result) == self.per_id_items(
+            providers, ranked, rank=False
+        )
+        table = store.by_type("table")[0]
+        result = providers.similar(req({"artifact": table}, limit=8))
+        assert self.items(result) == self.per_id_items(
+            providers, result.artifact_ids(), rank=False
+        )
+
+    def test_equal_to_per_id_bodies(self):
+        store = generate_catalog(SynthConfig(seed=3, n_tables=30))
+        providers = BuiltinProviders(store)
+        self.check(providers, store)
+        # Ghost ids (a stale usage log entry) are skipped, as before.
+        assert self.items(providers._list(["ghost"], Representation.LIST)) \
+            == []
+
+    def test_re_registered_views_resolver_is_honoured(self):
+        store = generate_catalog(SynthConfig(seed=3, n_tables=30))
+        providers = BuiltinProviders(store)
+        bias = {aid: float(len(aid) % 7) for aid in store.artifact_ids()}
+        providers.resolver.register("views", lambda aid: bias[aid])
+        self.check(providers, store)
+        ids = store.by_type("table")
+        assert providers._rank_by_views(ids) == sorted(
+            ids, key=lambda aid: (-bias[aid], aid)
+        )
 
 
 class TestGroupIdsBy:
