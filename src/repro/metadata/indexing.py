@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import threading
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from repro.catalog.domains import DOMAIN_ENTITIES, DOMAIN_TEXT
 from repro.catalog.events import (
@@ -138,13 +138,16 @@ class CatalogFollower:
                 return
         # Offset first: writes landing mid-scan replay on the next sync.
         offset = log.offset if log is not None else 0
-        self._rebuild(self.store.artifacts())
+        self._rebuild()
         self._offset = offset
         self._synced = versions
 
-    def _rebuild(self, artifacts: Iterable[Artifact]) -> None:
+    def _rebuild(self) -> None:
         self._reset()
-        self._contents = {a.id: self._content(a) for a in artifacts}
+        self._contents = {
+            artifact.id: self._content(artifact)
+            for artifact in self.store.artifacts()
+        }
         self._load(list(self._contents.items()))
 
 

@@ -178,11 +178,7 @@ class LshIndex:
 
     def add(self, key: Hashable, signature: MinHashSignature) -> None:
         """Index *signature* under *key* (re-adding replaces)."""
-        if len(signature) != self.num_perm:
-            raise ValueError(
-                f"signature length {len(signature)} != num_perm {self.num_perm}"
-            )
-        self.add_many([key], np.array([signature.values], dtype=np.uint64))
+        self.add_many([key], self._as_row(signature))
 
     def add_many(self, keys: Sequence[Hashable], matrix: np.ndarray) -> None:
         """Index row *i* of *matrix* under ``keys[i]`` (re-adding replaces,
@@ -270,8 +266,7 @@ class LshIndex:
     def _as_row(self, signature: MinHashSignature) -> np.ndarray:
         if len(signature) != self.num_perm:
             raise ValueError(
-                f"signature lengths differ: {len(signature)} vs "
-                f"{self.num_perm}"
+                f"signature length {len(signature)} != num_perm {self.num_perm}"
             )
         return np.array([signature.values], dtype=np.uint64)
 

@@ -319,8 +319,7 @@ class TestIndexFreshness:
         rebuilds = []
         index = providers.joinability
         original = index._rebuild
-        index._rebuild = lambda artifacts: (rebuilds.append(1),
-                                            original(artifacts))
+        index._rebuild = lambda: (rebuilds.append(1), original())
         self.assert_fresh(store, providers, extended)
         assert rebuilds == [1]
 
