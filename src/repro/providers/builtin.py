@@ -57,7 +57,8 @@ EMBEDDING_POINT_CAP = 2000
 
 
 class BuiltinProviders:
-    """Catalog-backed provider endpoints with shared lazy indexes."""
+    """Catalog-backed provider endpoints with shared lazy indexes that
+    follow catalog writes (see :mod:`repro.metadata.indexing`)."""
 
     def __init__(self, store: CatalogStore):
         self.store = store
