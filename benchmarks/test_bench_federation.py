@@ -5,7 +5,9 @@ disjoint members:
 
 * **healthy fan-out (wall clock)** — the study-task query mix runs on
   the merged monolith and on the federation with caching disabled, so
-  every search pays full provider work on both sides.  The federated
+  every search pays full provider work on both sides.  Each query runs
+  on both, one after the other, so host-speed drift cannot favour
+  either side's samples.  The federated
   p50 must stay within a small constant factor of the monolith's (the
   fan-out adds merge overhead, not asymptotic cost), and every returned
   entry must be attributed to the member that owns it — zero
@@ -100,7 +102,11 @@ def test_bench_federation_healthy_fanout_comparable_p50():
         store, engine, QueryLanguage(default_spec()),
         Ranker(FieldResolver(store)),
     )
+    federation, partition = federate(store, PARTS, policy=no_cache)
     mono_ms: list[float] = []
+    fed_ms: list[float] = []
+    leakage = 0
+    checked = 0
     for _ in range(rounds):
         for query in queries:
             started = time.perf_counter()
@@ -110,14 +116,6 @@ def test_bench_federation_healthy_fanout_comparable_p50():
                 limit=50,
             )
             mono_ms.append((time.perf_counter() - started) * 1000.0)
-    engine.close()
-
-    federation, partition = federate(store, PARTS, policy=no_cache)
-    fed_ms: list[float] = []
-    leakage = 0
-    checked = 0
-    for _ in range(rounds):
-        for query in queries:
             started = time.perf_counter()
             result = federation.search(
                 query, user_id=user_id, team_id=team_id, limit=50
@@ -128,6 +126,7 @@ def test_bench_federation_healthy_fanout_comparable_p50():
                 checked += 1
                 if partition.assignment[entry.ref.artifact_id] != entry.ref.catalog_id:
                     leakage += 1
+    engine.close()
     federation.close()
 
     mono_ms.sort()

@@ -8,12 +8,18 @@ corresponds to the Figure 6 montage.
 moves, so repeated opens (the warm case) time a memo hit.  The cold
 case writes between rounds — a team-roster write, which none of the six
 providers depends on, so the engine still serves its cached result —
-and times the full view build.
+and times the view build.  Cards come from the factory's card memo,
+which a team write leaves alone, so the cold case ranks and lays out
+the view but re-resolves no card.  The usage-write case records one
+usage event on one artifact between rounds and times the embedding
+overview's rebuild, which re-resolves that artifact's card only.
 """
 
 import pytest
 
 from benchmarks.conftest import write_result
+from repro.core.views.factory import ViewFactory
+from repro.providers.base import ProviderRequest
 
 #: representation -> (provider, inputs builder)
 VIEW_CASES = {
@@ -67,6 +73,27 @@ def test_e6_generate_view_cold(benchmark, mid_app, representation):
     view = benchmark.pedantic(build, setup=write, rounds=20, iterations=1)
     assert view.representation == representation
     assert not view.is_empty()
+
+
+def test_e6_embedding_rebuild_after_usage_write(benchmark, mid_app):
+    interface, store = mid_app.interface, mid_app.store
+    user = store.users()[0]
+    artifact = store.by_type("table")[0]
+
+    def write():
+        store.record(artifact, user.id, "view")
+
+    def build():
+        return interface.open_view("embedding_map", user_id=user.id, limit=20)
+
+    view = benchmark.pedantic(build, setup=write, rounds=20, iterations=1)
+    provider = interface.spec.provider("embedding_map")
+    result = interface.engine.execute(provider.endpoint, ProviderRequest()).result
+    fresh = ViewFactory(store, interface.spec, interface.ranker).build(
+        provider, result, inputs=view.inputs, limit=20
+    )
+    assert repr(view) == repr(fresh)
+    assert artifact in view.artifact_ids()
 
 
 def test_e6_write_figure6_table(benchmark, mid_app):

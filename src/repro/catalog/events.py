@@ -5,7 +5,8 @@ typed, immutable record to a bounded in-process :class:`EventLog`
 *before* bumping the corresponding domain version.  Consumers — the
 execution engine's delta-patch sweep, the field resolver's incremental
 usage snapshot, the store's own sorted-id memo, the relatedness indexes
-(:mod:`repro.metadata.indexing`) — read the log by
+(:mod:`repro.metadata.indexing`), the view factory's card memo
+(:class:`~repro.core.views.factory.ViewFactory`) — read the log by
 offset: ``since(offset)`` returns exactly the records appended after
 their last visit, so they can apply per-event deltas instead of
 rebuilding on every ``domain_version`` change.

@@ -22,7 +22,7 @@ from repro.core.ranking import Ranker
 from repro.core.spec.customization import Customization
 from repro.core.spec.model import HumboldtSpec, ProviderSpec
 from repro.core.spec.validation import validate_spec
-from repro.core.views.base import View, make_card
+from repro.core.views.base import View
 from repro.core.views.factory import ViewFactory
 from repro.core.views.listing import ListView
 from repro.errors import MissingInputError, ProviderError, UnknownProviderError
@@ -297,9 +297,8 @@ class DiscoveryInterface:
             limit=limit,
             budget_ms=budget_ms,
         )
-        cards = tuple(
-            make_card(self.store, entry.artifact_id, score=entry.score)
-            for entry in result.entries
+        cards = self.factory.cards(
+            (entry.artifact_id, entry.score) for entry in result.entries
         )
         notice = "; ".join(
             f"{marker.provider}: {marker.status}" for marker in result.health

@@ -13,17 +13,37 @@ must not be mutated (``View.inputs`` included).  Views ranked on a field
 served by a host resolver (``FieldResolver.register``) are always built
 afresh, since such a resolver may read state outside the catalog.  See
 "View memo" in ``docs/execution.md``.
+
+Every card the factory builds comes from one per-artifact card memo
+that outlives writes: it follows the store's event log and drops only
+the cards a write may have changed (see "Card memo" in
+``docs/execution.md``), so a rebuild after a usage write re-resolves
+one card, not the whole catalog.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from dataclasses import replace
+from typing import Callable, Iterable
 
+from repro.catalog.domains import (
+    DOMAIN_ENTITIES,
+    DOMAIN_MEMBERSHIP,
+    DOMAIN_USAGE,
+)
+from repro.catalog.events import (
+    EntitiesEventRecord,
+    EventLog,
+    MembershipEventRecord,
+    OpaqueEventRecord,
+    UsageEventRecord,
+)
 from repro.catalog.store import CatalogStore
 from repro.core.ranking import Ranker
 from repro.core.spec.model import HumboldtSpec, ProviderSpec
-from repro.core.views.base import View, make_card, view_id_for
+from repro.core.views.base import ArtifactCard, View, make_card, view_id_for
 from repro.core.views.categories import CategoriesView, CategoryGroup
 from repro.core.views.embedding import EmbeddingView, PlacedCard
 from repro.core.views.graph import GraphView, GraphViewEdge
@@ -43,6 +63,23 @@ CATEGORY_PREVIEW_SIZE = 5
 
 #: Representations whose builders rank with the spec's weights.
 _RANKED = (Representation.LIST, Representation.TILES, Representation.CATEGORIES)
+
+#: Domains a card reads: the artifact, its owner's name and its usage.
+#: An opaque record on any of them leaves the cards unexplained.
+_CARD_DOMAINS = (DOMAIN_ENTITIES, DOMAIN_USAGE, DOMAIN_MEMBERSHIP)
+
+#: ``card(artifact_id, score=None)``: the card one build shows.
+_CardLookup = Callable[..., ArtifactCard]
+
+
+def _clears_cards(record) -> bool:
+    """Whether an event-log record may change any card: a new or renamed
+    user may own cards (their owner name), and an opaque record on a
+    domain cards read leaves every card unexplained."""
+    if isinstance(record, MembershipEventRecord):
+        return record.entity_kind == "user"
+    return isinstance(record, OpaqueEventRecord) and record.domain in _CARD_DOMAINS
+
 
 _MEMO_HITS = default_registry().counter(
     "views_memo_hits",
@@ -87,6 +124,10 @@ class ViewFactory:
         self._memo: OrderedDict[tuple, tuple[ProviderResult, View]] = OrderedDict()
         # (store version, clock) the entries were built under.
         self._stamp: tuple = (-1, float("-inf"))
+        # artifact id -> its unscored card, kept across writes; the
+        # event-log offset the cards are current through.
+        self._cards: dict[str, ArtifactCard] = {}
+        self._cards_offset = 0
 
     def build(
         self,
@@ -190,6 +231,7 @@ class ViewFactory:
                 f"endpoint returned {result.representation.value!r}",
             )
         result.validate(provider.name)
+        card = self._card_lookup()
         common = {
             "view_id": view_id_for(provider.name, inputs),
             "provider_name": provider.name,
@@ -203,25 +245,25 @@ class ViewFactory:
         }
         rep = provider.representation
         if rep in (Representation.LIST, Representation.TILES):
-            return self._build_listing(provider, result, common, limit)
+            return self._build_listing(provider, result, common, card, limit)
         if rep is Representation.HIERARCHY:
             return HierarchyView(
                 roots=tuple(
-                    self._tree(root)
+                    self._tree(root, card)
                     for root in result.roots
                     if self.store.has_artifact(root.artifact_id)
                 ),
                 **common,
             )
         if rep is Representation.GRAPH:
-            return self._build_graph(result, common)
+            return self._build_graph(result, common, card)
         if rep is Representation.CATEGORIES:
-            return self._build_categories(provider, result, common)
+            return self._build_categories(provider, result, common, card)
         if rep is Representation.EMBEDDING:
             return EmbeddingView(
                 points=tuple(
                     PlacedCard(
-                        card=make_card(self.store, point.artifact_id),
+                        card=card(point.artifact_id),
                         x=point.x,
                         y=point.y,
                     )
@@ -232,6 +274,64 @@ class ViewFactory:
             )
         raise RepresentationError(provider.name, f"unhandled representation {rep!r}")
 
+    # -- the card memo ----------------------------------------------------------
+
+    def cards(self, scored: Iterable[tuple[str, float]]) -> tuple[ArtifactCard, ...]:
+        """The cards of ``(artifact_id, score)`` pairs, from the card memo;
+        each equals ``make_card(store, artifact_id, score)``."""
+        card = self._card_lookup()
+        return tuple(card(artifact_id, score) for artifact_id, score in scored)
+
+    def _card_lookup(self) -> _CardLookup:
+        """Bring the card memo up to the store's event log; return the
+        ``card(artifact_id, score=None)`` one build uses.
+
+        A card made on a miss is kept only if the log has not moved since
+        this sync.  A write landing meanwhile may have changed what the
+        card read, and another build may already have drained its record,
+        so nothing would drop the card later.  A store without an event
+        log gets no memo.
+        """
+        store = self.store
+        log = getattr(store, "events", None)
+        if isinstance(log, EventLog):
+            with self._lock:
+                offset = self._sync_cards(log)
+        else:
+            log = None
+        cards = self._cards
+
+        def card(artifact_id: str, score: float | None = None) -> ArtifactCard:
+            found = cards.get(artifact_id)
+            if found is None:
+                found = make_card(store, artifact_id)
+                if log is not None:
+                    with self._lock:
+                        if log.offset == offset:
+                            cards[artifact_id] = found
+            if score is None:
+                return found
+            return replace(found, score=round(score, 6))
+
+        return card
+
+    def _sync_cards(self, log: EventLog) -> int:
+        """Drop the cards the log's new records may have changed; returns
+        the offset the memo is now current through.  Holds ``_lock``."""
+        records, offset, truncated = log.since(self._cards_offset)
+        if truncated:
+            self._cards.clear()
+        for record in records:
+            if isinstance(record, UsageEventRecord):
+                self._cards.pop(record.event.artifact_id, None)
+            elif isinstance(record, EntitiesEventRecord):
+                self._cards.pop(record.artifact_id, None)
+            elif _clears_cards(record):
+                self._cards.clear()
+                break
+        self._cards_offset = offset
+        return offset
+
     # -- per-representation builders ------------------------------------------
 
     def _build_listing(
@@ -239,6 +339,7 @@ class ViewFactory:
         provider: ProviderSpec,
         result: ProviderResult,
         common: dict,
+        card: _CardLookup,
         limit: int = 0,
     ) -> View:
         weights = self.spec.effective_ranking(provider.name)
@@ -254,17 +355,16 @@ class ViewFactory:
             ranked = self.ranker.top_k_items(items, weights, limit, live=True)
         else:
             ranked = self.ranker.rank_items(items, weights, live=True)
-        cards = tuple(
-            make_card(self.store, entry.artifact_id, score=entry.score)
-            for entry in ranked
-        )
+        cards = tuple(card(entry.artifact_id, entry.score) for entry in ranked)
         if provider.representation is Representation.TILES:
             return TilesView(cards=cards, **common)
         return ListView(cards=cards, **common)
 
-    def _build_graph(self, result: ProviderResult, common: dict) -> GraphView:
+    def _build_graph(
+        self, result: ProviderResult, common: dict, card: _CardLookup
+    ) -> GraphView:
         cards = tuple(
-            make_card(self.store, node)
+            card(node)
             for node in result.nodes
             if self.store.has_artifact(node)
         )
@@ -277,7 +377,11 @@ class ViewFactory:
         return GraphView(cards=cards, edges=edges, **common)
 
     def _build_categories(
-        self, provider: ProviderSpec, result: ProviderResult, common: dict
+        self,
+        provider: ProviderSpec,
+        result: ProviderResult,
+        common: dict,
+        card: _CardLookup,
     ) -> CategoriesView:
         weights = self.spec.effective_ranking(provider.name)
         groups = []
@@ -291,8 +395,7 @@ class ViewFactory:
             # preview, so only the preview rows get cards.
             ordered = self.ranker.order(ids, weights)
             preview = tuple(
-                make_card(self.store, aid, score=score)
-                for aid, score in ordered[:CATEGORY_PREVIEW_SIZE]
+                card(aid, score) for aid, score in ordered[:CATEGORY_PREVIEW_SIZE]
             )
             groups.append(
                 CategoryGroup(
@@ -304,11 +407,11 @@ class ViewFactory:
             )
         return CategoriesView(groups=tuple(groups), **common)
 
-    def _tree(self, node: HierarchyNode) -> TreeNode:
+    def _tree(self, node: HierarchyNode, card: _CardLookup) -> TreeNode:
         return TreeNode(
-            card=make_card(self.store, node.artifact_id),
+            card=card(node.artifact_id),
             children=tuple(
-                self._tree(child)
+                self._tree(child, card)
                 for child in node.children
                 if self.store.has_artifact(child.artifact_id)
             ),

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from dataclasses import replace
 from concurrent.futures import ThreadPoolExecutor
 
 from hypothesis import given, settings
@@ -785,6 +786,105 @@ class TestViewMemoRaces:
         assert repr(after) == repr(self._fresh(app, provider, result, limit=5))
         assert last in after.artifact_ids()
         assert last not in straddled.artifact_ids()
+        app.close()
+
+    def test_card_straddling_a_write_is_not_kept(self, monkeypatch):
+        """A card resolved before a write and handed back after it must
+        not enter the card memo: another build may already have drained
+        the write's record, and then nothing would drop the old card."""
+        from repro.core.views import factory as factory_module
+
+        app, _ = self._app()
+        interface, store = app.interface, app.store
+        provider = interface.spec.provider("embedding_map")
+        result = interface.engine.execute(
+            provider.endpoint, ProviderRequest()
+        ).result
+        entered, release = threading.Event(), threading.Event()
+        blocked: list[str] = []
+        make_card = factory_module.make_card
+
+        def blocking_make_card(store, artifact_id, score=0.0):
+            card = make_card(store, artifact_id, score=score)
+            if (threading.current_thread() is not threading.main_thread()
+                    and not entered.is_set()):
+                blocked.append(artifact_id)
+                entered.set()
+                assert release.wait(10)
+            return card
+
+        monkeypatch.setattr(factory_module, "make_card", blocking_make_card)
+        builder = threading.Thread(
+            target=lambda: interface.factory.build(provider, result)
+        )
+        builder.start()
+        assert entered.wait(10)
+        (artifact,) = blocked
+        store.record(artifact, store.users()[0].id, "view")
+        # This build drains the write's record before the straddling
+        # card comes back.
+        interface.factory.build(provider, result, notice="between")
+        release.set()
+        builder.join(10)
+        assert not builder.is_alive()
+        after = interface.factory.build(provider, result, notice="after")
+        fresh = self._fresh(app, provider, result, notice="after")
+        assert repr(after) == repr(fresh)
+        app.close()
+
+    def test_cards_hammer_with_concurrent_writes(self):
+        """Two readers build the embedding view and search while a writer
+        records usage, grants badges and renames owners; once the writes
+        stop, a build equals a fresh one, and then every card the memo
+        holds equals a fresh ``make_card``."""
+        from repro.core.views.base import make_card
+
+        app, _ = self._app()
+        interface, store = app.interface, app.store
+        provider = interface.spec.provider("embedding_map")
+        users = store.users()
+        artifacts = store.artifact_ids()[:6]
+        done = threading.Event()
+
+        def reader(index: int) -> None:
+            rounds = 0
+            while not done.is_set() or rounds < 5:
+                rounds += 1
+                result = interface.engine.execute(
+                    provider.endpoint, ProviderRequest()
+                ).result
+                interface.factory.build(provider, result, notice=str(rounds))
+                interface.search("type: table", user_id=users[index].id)
+
+        def writer() -> None:
+            for step in range(60):
+                artifact = artifacts[step % len(artifacts)]
+                if step % 9 == 8:
+                    user = users[step % len(users)]
+                    store.set_user(replace(user, name=f"{user.name} {step}"))
+                elif step % 5 == 4:
+                    store.grant_badge(artifact, "certified", users[0].id)
+                else:
+                    store.record(artifact, users[step % 3].id, "view")
+                done.wait(0.002)
+            done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            _hammer(3, lambda i: writer() if i == 2 else reader(i))
+        finally:
+            sys.setswitchinterval(interval)
+        result = interface.engine.execute(
+            provider.endpoint, ProviderRequest()
+        ).result
+        after = interface.factory.build(provider, result, notice="after")
+        fresh = self._fresh(app, provider, result, notice="after")
+        assert repr(after) == repr(fresh)
+        cards = interface.factory._cards
+        assert cards
+        for artifact_id, card in cards.items():
+            assert card == make_card(store, artifact_id), artifact_id
         app.close()
 
     def test_overview_and_explore_hammer_with_concurrent_writes(self):
