@@ -107,8 +107,8 @@ def _run_workload(store, breaker_on: bool) -> dict:
         "mean_ms": sum(latencies) / len(latencies),
         "failed_searches": failed,
         "degraded_searches": degraded,
-        "breaker_opens": stats.breaker_opens,
-        "breaker_rejections": stats.breaker_rejections,
+        "breaker_opens": stats.total("breaker_opens"),
+        "breaker_rejections": stats.total("breaker_rejections"),
     }
 
 

@@ -6,8 +6,8 @@ many simulated sessions in flight at once, the serving shape every
 single-request bench so far has ignored.  Each tenant (team) gets its
 own customization (a hidden overview provider) and, for alternating
 teams, a per-tenant policy overlay, so the run continuously exercises
-the engine's isolation guarantees while hammering its cache, breaker
-and single-flight paths.
+the engine's isolation guarantees while hammering its cache and breaker
+paths.
 
 The harness verifies isolation *inline*: every overview op checks that
 the tenant's own hidden provider is absent and that no *other* tenant's
@@ -19,9 +19,6 @@ Usage::
     report = run_load(store, LoadConfig(sessions=1000, concurrency=32))
     print(report.render())
     json.dumps(report.to_dict())
-
-``single_flight=False`` runs the same workload against a naive engine
-(no cross-request coalescing) for A/B comparison.
 """
 
 from __future__ import annotations
@@ -50,9 +47,8 @@ from repro.workbook.app import WorkbookApp
 
 def latency_middleware(latency_ms: float):
     """An engine middleware adding fixed latency per provider invocation,
-    simulating the round-trip to a remote metadata service.  This is what
-    makes batching measurable: with free providers, coalescing N identical
-    fetches into one saves nothing."""
+    simulating the round-trip to a remote metadata service, so every
+    cache miss pays for the invocation it makes."""
     delay_s = latency_ms / 1000.0
 
     def middleware(
@@ -71,7 +67,6 @@ class LoadReport:
     :meth:`to_dict`."""
 
     config: LoadConfig
-    single_flight: bool
     ops: int = 0
     errors: int = 0
     wall_s: float = 0.0
@@ -117,7 +112,6 @@ class LoadReport:
     def to_dict(self) -> dict:
         totals = self.stats.get("totals", {})
         return {
-            "mode": "batched" if self.single_flight else "naive",
             "sessions": self.config.sessions,
             "concurrency": self.config.concurrency,
             "seed": self.config.seed,
@@ -134,7 +128,6 @@ class LoadReport:
                     for kind in sorted(self.latencies_ms)
                 },
             },
-            "single_flights": totals.get("single_flights", 0),
             "provider_calls": totals.get("calls", 0),
             "degradation": {
                 "stale_served": totals.get("stale_served", 0),
@@ -159,11 +152,10 @@ class LoadReport:
         d = self.to_dict()
         overall = d["latency_ms"]["overall"]
         return (
-            f"{d['mode']}: {d['ops']} ops / {d['wall_s']}s "
+            f"{d['ops']} ops / {d['wall_s']}s "
             f"= {d['throughput_ops_s']} ops/s, "
             f"p50 {overall['p50']:.2f} ms, p99 {overall['p99']:.2f} ms, "
             f"hit rate {d['hit_rate']:.3f}, "
-            f"{d['single_flights']} single-flights, "
             f"{d['provider_calls']} provider calls, "
             f"{d['write_path']['delta_patches']} delta patches, "
             f"{d['write_path']['coalesced_bumps']} coalesced bumps, "
@@ -195,11 +187,9 @@ class LoadHarness:
         self,
         store: CatalogStore,
         config: LoadConfig,
-        single_flight: bool = True,
         policy: ExecutionPolicy | None = None,
     ):
         self.config = config
-        self.single_flight = single_flight
         registry = EndpointRegistry()
         install_builtin_endpoints(registry, BuiltinProviders(store))
         middlewares = (
@@ -216,7 +206,6 @@ class LoadHarness:
             store=store,
             policy=policy,
             middlewares=middlewares,
-            single_flight=single_flight,
         )
         # Tracing is opt-in (config.trace_slowest > 0): every session op
         # gets a root span, engine/evaluator spans nest under it, and the
@@ -348,7 +337,6 @@ class LoadHarness:
         self.app.close()
         return LoadReport(
             config=self.config,
-            single_flight=self.single_flight,
             ops=completed,
             errors=self._errors,
             wall_s=wall_s,
@@ -387,14 +375,7 @@ class LoadHarness:
 def run_load(
     store: CatalogStore,
     config: LoadConfig | None = None,
-    single_flight: bool = True,
     policy: ExecutionPolicy | None = None,
 ) -> LoadReport:
     """Build a harness, run the seeded workload, return the report."""
-    harness = LoadHarness(
-        store,
-        config or LoadConfig(),
-        single_flight=single_flight,
-        policy=policy,
-    )
-    return harness.run()
+    return LoadHarness(store, config or LoadConfig(), policy=policy).run()

@@ -9,11 +9,10 @@ so concurrent runs differ only in thread interleaving, never in the work
 itself.
 
 Both the query pool and the user assignment are Zipf-skewed.  Skewing
-*users* matters as much as skewing queries: provider request keys carry
-the requesting user/team, so identical in-flight fetches — the ones
-cross-request single-flight batching can coalesce — only occur when hot
-users run overlapping sessions, exactly what a popular dashboard's
-audience looks like.
+*users* matters as much as skewing queries: request keys of endpoints
+that read the requesting user/team carry them, so their fetches repeat
+across sessions only when hot users run overlapping sessions, exactly
+what a popular dashboard's audience looks like.
 """
 
 from __future__ import annotations

@@ -102,7 +102,7 @@ def render_span_tree(
     Children sort by start time under their parent; spans whose parent
     is missing from *spans* (e.g. a ring buffer that rolled over) render
     as roots.  Attribute annotations (``cache=hit``, ``skipped=2`` …)
-    follow the timing; waiter→leader links render as ``~> <span_id>``.
+    follow the timing.
     """
     by_id = {span.span_id: span for span in spans}
     children: dict[str | None, list[Span]] = {}
@@ -125,8 +125,6 @@ def render_span_tree(
             parts.append(
                 " ".join(f"{k}={_short(v)}" for k, v in sorted(span.attrs.items()))
             )
-        if span.links:
-            parts.append(" ".join(f"~> {link}" for link in span.links))
         lines.append("  ".join(parts))
         for child in children.get(span.span_id, ()):
             walk(child, depth + 1)

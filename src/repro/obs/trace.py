@@ -12,8 +12,7 @@ down the call stack parent automatically.  Crossing a thread boundary is
 explicit: the submitting side calls :meth:`Tracer.context` to capture a
 :class:`TraceContext`, the worker wraps its work in
 ``with tracer.attach(ctx): ...`` and everything it opens parents under
-the captured span.  Spans may additionally *link* to spans they did not
-descend from (a single-flight waiter links to the leader's fetch span).
+the captured span.
 
 The default tracer everywhere in the codebase is :data:`NOOP_TRACER`: a
 shared, allocation-free stub whose ``span()``/``attach()`` return
@@ -63,7 +62,6 @@ class Span:
         "end",
         "status",
         "attrs",
-        "links",
     )
 
     def __init__(
@@ -73,7 +71,6 @@ class Span:
         parent_id: str | None,
         name: str,
         start: float,
-        links: tuple[str, ...] = (),
     ):
         self.trace_id = trace_id
         self.span_id = span_id
@@ -83,7 +80,6 @@ class Span:
         self.end: float | None = None
         self.status = "ok"
         self.attrs: dict[str, Any] = {}
-        self.links = links
 
     # Spans are truthy; the no-op stand-in is falsy, which is what lets
     # ``if sp:`` gate attribute writes on the hot path.
@@ -119,7 +115,6 @@ class Span:
             "duration_ms": round(self.duration_ms, 4),
             "status": self.status,
             "attrs": dict(self.attrs),
-            "links": list(self.links),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -222,9 +217,9 @@ class Tracer:
 
     # -- span lifecycle -----------------------------------------------------
 
-    def span(self, name: str, links: tuple[str, ...] = ()) -> _ActiveSpan:
+    def span(self, name: str) -> _ActiveSpan:
         """Open a span as the current thread's innermost context."""
-        span = self.start(name, links=links)
+        span = self.start(name)
         self._stack().append(span)
         return _ActiveSpan(self, span)
 
@@ -232,7 +227,6 @@ class Tracer:
         self,
         name: str,
         parent: Span | TraceContext | None = None,
-        links: tuple[str, ...] = (),
     ) -> Span:
         """Start a detached span (caller must :meth:`end` it).
 
@@ -249,7 +243,7 @@ class Tracer:
         else:
             trace_id = parent.trace_id
             parent_id = parent.span_id
-        return Span(trace_id, span_id, parent_id, name, self._timer(), links)
+        return Span(trace_id, span_id, parent_id, name, self._timer())
 
     def end(self, span: Span, status: str | None = None) -> Span:
         """Finish a detached span and export it."""
@@ -321,13 +315,13 @@ class NoopTracer:
     enabled = False
     exporters: tuple[Any, ...] = ()
 
-    def span(self, name: str, links: tuple[str, ...] = ()) -> _NoopCM:
+    def span(self, name: str) -> _NoopCM:
         return _NOOP_CM
 
     def attach(self, ctx: Any) -> _NoopCM:
         return _NOOP_CM
 
-    def start(self, name: str, parent: Any = None, links: tuple[str, ...] = ()) -> _NoopSpan:
+    def start(self, name: str, parent: Any = None) -> _NoopSpan:
         return _NOOP_SPAN
 
     def end(self, span: Any, status: str | None = None) -> _NoopSpan:

@@ -45,7 +45,7 @@ naive reproduction scatters per call site:
   CLI's ``--stats`` flag / ``health`` / ``metrics`` subcommands and
   Prometheus exposition.  Every hot path additionally emits
   :mod:`repro.obs` trace spans (``engine.execute`` → ``engine.fetch`` →
-  ``provider.invoke``, plus batch, join and sweep spans) when a tracer
+  ``provider.invoke``, plus batch and sweep spans) when a tracer
   is installed; the default no-op tracer costs nothing.
 
 Configuration is a layered, frozen :class:`ExecutionPolicy`: global
@@ -181,7 +181,6 @@ _COUNTER_FIELDS: tuple[tuple[str, str], ...] = (
     ("cache_hits", "Fetches answered from the result cache."),
     ("cache_misses", "Fetches that had to invoke (or join) a provider."),
     ("dedups", "In-batch duplicates of a pending miss in execute_many."),
-    ("single_flights", "Cross-request joins onto an identical in-flight fetch."),
     ("truncations", "Provider results truncated to the declared limit."),
     ("invalidations", "Cache entries dropped because a depended-on domain mutated."),
     ("delta_patches", "Cache entries patched in place from write-ahead events."),
@@ -192,6 +191,25 @@ _COUNTER_FIELDS: tuple[tuple[str, str], ...] = (
     ("deadline_skips", "Fetches not attempted because the deadline was spent."),
     ("breaker_rejections", "Fetches rejected by an open circuit breaker."),
     ("breaker_opens", "closed->open transitions of the endpoint's breaker."),
+)
+
+#: The columns of :meth:`ExecutionStats.render`: (header, counter, width).
+_RENDER_COLUMNS: tuple[tuple[str, str, int], ...] = (
+    ("calls", "calls", 6),
+    ("hits", "cache_hits", 6),
+    ("miss", "cache_misses", 6),
+    ("dedup", "dedups", 6),
+    ("err", "errors", 5),
+    ("retry", "retries", 6),
+    ("trunc", "truncations", 6),
+    ("inval", "invalidations", 6),
+    ("patch", "delta_patches", 6),
+    ("dfall", "delta_fallbacks", 6),
+    ("est", "estimates", 5),
+    ("skip", "fetches_skipped", 6),
+    ("stale", "stale_served", 6),
+    ("dskip", "deadline_skips", 6),
+    ("brej", "breaker_rejections", 5),
 )
 
 #: Breaker states encoded onto the ``engine_breaker_state`` gauge.
@@ -220,7 +238,6 @@ class EndpointStatsSnapshot:
     cache_hits: int = 0
     cache_misses: int = 0
     dedups: int = 0
-    single_flights: int = 0
     truncations: int = 0
     invalidations: int = 0
     delta_patches: int = 0
@@ -242,11 +259,12 @@ class ExecutionStats:
     """Thread-safe per-endpoint execution metrics — a thin view over a
     :class:`repro.obs.MetricsRegistry`.
 
-    Every ``record_*`` method lands on a labelled metric family in
-    :attr:`metrics`: counters ``engine_<field>_total{endpoint=...}``, the
-    ``engine_invoke_latency_ms`` histogram (fixed buckets plus an exact
-    exemplar window) and the ``engine_breaker_state`` gauge.  The reading
-    side — the totals properties, :meth:`endpoint`, :meth:`snapshot`,
+    The writing side lands on labelled metric families in :attr:`metrics`:
+    :meth:`count` on the counters ``engine_<field>_total{endpoint=...}``,
+    :meth:`record_call` on those and the ``engine_invoke_latency_ms``
+    histogram (fixed buckets plus an exact exemplar window), and
+    :meth:`record_breaker_state` on the ``engine_breaker_state`` gauge.
+    The reading side — :meth:`total`, :meth:`endpoint`, :meth:`snapshot`,
     :meth:`render` — derives everything from **one** registry collection,
     so the stats table, the health report and the Prometheus exposition
     (``self.metrics.render_prometheus()``) cannot disagree about the same
@@ -254,7 +272,7 @@ class ExecutionStats:
 
     ``calls`` counts actual endpoint invocations (each retry attempt is
     an invocation), so "a repeated operation performed zero duplicate
-    fetches" is assertable as an unchanged ``total_calls``.
+    fetches" is assertable as an unchanged ``total("calls")``.
     """
 
     def __init__(self, metrics: "MetricsRegistry | None" = None) -> None:
@@ -276,7 +294,7 @@ class ExecutionStats:
             ("endpoint",),
             "Circuit breaker state: 0 closed, 1 open, 2 half-open.",
         )
-        self._coalesced = self.metrics.counter(
+        self._counters["coalesced_bumps"] = self.metrics.counter(
             "engine_coalesced_bumps_total",
             (),
             "Version bumps the store saved by coalescing event batches.",
@@ -284,144 +302,35 @@ class ExecutionStats:
 
     # -- recording (called by the engine) ---------------------------------
 
+    def count(self, name: str, endpoint: str, n: int = 1) -> None:
+        """Add *n* to counter *name* of *endpoint*.
+
+        *name* is a :data:`_COUNTER_FIELDS` name or ``coalesced_bumps``
+        (engine-wide, so *endpoint* is not used).  Any other name raises
+        ``KeyError``: a typo cannot mint a new series.
+        """
+        family = self._counters[name]
+        if family.labelnames:
+            family.labels(endpoint).inc(n)
+        else:
+            family.labels().inc(n)
+
     def record_call(self, endpoint: str, latency_ms: float) -> None:
         self._counters["calls"].labels(endpoint).inc()
         self._latency.labels(endpoint).observe(latency_ms)
-
-    def record_error(self, endpoint: str) -> None:
-        self._counters["errors"].labels(endpoint).inc()
-
-    def record_retry(self, endpoint: str) -> None:
-        self._counters["retries"].labels(endpoint).inc()
-
-    def record_cache_hit(self, endpoint: str) -> None:
-        self._counters["cache_hits"].labels(endpoint).inc()
-
-    def record_cache_miss(self, endpoint: str) -> None:
-        self._counters["cache_misses"].labels(endpoint).inc()
-
-    def record_dedup(self, endpoint: str) -> None:
-        self._counters["dedups"].labels(endpoint).inc()
-
-    def record_single_flight(self, endpoint: str) -> None:
-        self._counters["single_flights"].labels(endpoint).inc()
-
-    def record_truncation(self, endpoint: str) -> None:
-        self._counters["truncations"].labels(endpoint).inc()
-
-    def record_invalidation(self, endpoint: str, dropped: int = 1) -> None:
-        self._counters["invalidations"].labels(endpoint).inc(dropped)
-
-    def record_delta_patch(self, endpoint: str) -> None:
-        self._counters["delta_patches"].labels(endpoint).inc()
-
-    def record_delta_fallback(self, endpoint: str) -> None:
-        self._counters["delta_fallbacks"].labels(endpoint).inc()
-
-    def record_coalesced_bumps(self, saved: int) -> None:
-        self._coalesced.labels().inc(saved)
-
-    def record_estimate(self, endpoint: str) -> None:
-        self._counters["estimates"].labels(endpoint).inc()
-
-    def record_fetch_skipped(self, endpoint: str, count: int = 1) -> None:
-        self._counters["fetches_skipped"].labels(endpoint).inc(count)
-
-    def record_stale_served(self, endpoint: str) -> None:
-        self._counters["stale_served"].labels(endpoint).inc()
-
-    def record_deadline_skip(self, endpoint: str) -> None:
-        self._counters["deadline_skips"].labels(endpoint).inc()
-
-    def record_breaker_rejection(self, endpoint: str) -> None:
-        self._counters["breaker_rejections"].labels(endpoint).inc()
-
-    def record_breaker_open(self, endpoint: str) -> None:
-        self._counters["breaker_opens"].labels(endpoint).inc()
 
     def record_breaker_state(self, endpoint: str, state: str) -> None:
         self._breaker.labels(endpoint).set(_BREAKER_STATE_CODES.get(state, 0.0))
 
     # -- reading -----------------------------------------------------------
 
-    def _total(self, fname: str) -> int:
-        return int(self._counters[fname].total())
-
-    @property
-    def total_calls(self) -> int:
-        return self._total("calls")
-
-    @property
-    def total_errors(self) -> int:
-        return self._total("errors")
-
-    @property
-    def total_retries(self) -> int:
-        return self._total("retries")
-
-    @property
-    def cache_hits(self) -> int:
-        return self._total("cache_hits")
-
-    @property
-    def cache_misses(self) -> int:
-        return self._total("cache_misses")
-
-    @property
-    def dedups(self) -> int:
-        return self._total("dedups")
-
-    @property
-    def single_flights(self) -> int:
-        return self._total("single_flights")
-
-    @property
-    def truncations(self) -> int:
-        return self._total("truncations")
-
-    @property
-    def invalidations(self) -> int:
-        return self._total("invalidations")
-
-    @property
-    def delta_patches(self) -> int:
-        return self._total("delta_patches")
-
-    @property
-    def delta_fallbacks(self) -> int:
-        return self._total("delta_fallbacks")
-
-    @property
-    def coalesced_bumps(self) -> int:
-        return int(self._coalesced.total())
-
-    @property
-    def estimates(self) -> int:
-        return self._total("estimates")
-
-    @property
-    def fetches_skipped(self) -> int:
-        return self._total("fetches_skipped")
-
-    @property
-    def stale_served(self) -> int:
-        return self._total("stale_served")
-
-    @property
-    def deadline_skips(self) -> int:
-        return self._total("deadline_skips")
-
-    @property
-    def breaker_rejections(self) -> int:
-        return self._total("breaker_rejections")
-
-    @property
-    def breaker_opens(self) -> int:
-        return self._total("breaker_opens")
+    def total(self, name: str) -> int:
+        """Counter *name* summed over every endpoint (names as :meth:`count`)."""
+        return int(self._counters[name].total())
 
     @property
     def cache_hit_rate(self) -> float:
-        hits, misses = self.cache_hits, self.cache_misses
+        hits, misses = self.total("cache_hits"), self.total("cache_misses")
         return hits / (hits + misses) if hits + misses else 0.0
 
     def endpoint(self, uri: str) -> EndpointStatsSnapshot:
@@ -482,42 +391,20 @@ class ExecutionStats:
     def render(self) -> str:
         """Plain-text stats table for the CLI's ``--stats`` flag."""
         snap = self.snapshot()
-        lines = [
-            f"{'endpoint':<32}{'calls':>6}{'hits':>6}{'miss':>6}{'dedup':>6}"
-            f"{'sflt':>6}"
-            f"{'err':>5}{'retry':>6}{'trunc':>6}{'inval':>6}"
-            f"{'patch':>6}{'dfall':>6}"
-            f"{'est':>5}{'skip':>6}"
-            f"{'stale':>6}{'dskip':>6}{'brej':>5}"
-            f"{'p50 ms':>8}{'p95 ms':>8}"
-        ]
+
+        def row(label: str, values: dict) -> str:
+            return f"{label:<32}" + "".join(
+                f"{values[fname]:>{width}}" for _, fname, width in _RENDER_COLUMNS
+            )
+
+        header = {fname: head for head, fname, _ in _RENDER_COLUMNS}
+        lines = [row("endpoint", header) + f"{'p50 ms':>8}{'p95 ms':>8}"]
         for uri, s in snap["endpoints"].items():
             lat = s["latency_ms"]
-            lines.append(
-                f"{uri:<32}{s['calls']:>6}{s['cache_hits']:>6}"
-                f"{s['cache_misses']:>6}{s['dedups']:>6}"
-                f"{s['single_flights']:>6}"
-                f"{s['errors']:>5}{s['retries']:>6}"
-                f"{s['truncations']:>6}{s['invalidations']:>6}"
-                f"{s['delta_patches']:>6}{s['delta_fallbacks']:>6}"
-                f"{s['estimates']:>5}{s['fetches_skipped']:>6}"
-                f"{s['stale_served']:>6}{s['deadline_skips']:>6}"
-                f"{s['breaker_rejections']:>5}"
-                f"{lat['p50']:>8.2f}{lat['p95']:>8.2f}"
-            )
-        t = snap["totals"]
-        lines.append(
-            f"{'TOTAL':<32}{t['calls']:>6}{t['cache_hits']:>6}"
-            f"{t['cache_misses']:>6}{t['dedups']:>6}"
-            f"{t['single_flights']:>6}"
-            f"{t['errors']:>5}{t['retries']:>6}"
-            f"{t['truncations']:>6}{t['invalidations']:>6}"
-            f"{t['delta_patches']:>6}{t['delta_fallbacks']:>6}"
-            f"{t['estimates']:>5}{t['fetches_skipped']:>6}"
-            f"{t['stale_served']:>6}{t['deadline_skips']:>6}"
-            f"{t['breaker_rejections']:>5}"
-        )
-        lines.append(f"coalesced version bumps: {t['coalesced_bumps']}")
+            lines.append(row(uri, s) + f"{lat['p50']:>8.2f}{lat['p95']:>8.2f}")
+        totals = snap["totals"]
+        lines.append(row("TOTAL", totals))
+        lines.append(f"coalesced version bumps: {totals['coalesced_bumps']}")
         return "\n".join(lines)
 
     def reset(self) -> None:
@@ -841,34 +728,6 @@ class ExecutionPolicy:
         knobs.update(self.endpoint_overrides(endpoint))
         return EndpointPolicy(**knobs)
 
-    # -- legacy read-through properties ------------------------------------
-
-    @property
-    def attempts(self) -> int:
-        """Read-through to ``retry.attempts`` (pre-layering spelling)."""
-        return self.retry.attempts
-
-    @property
-    def backoff_base_ms(self) -> float:
-        """Read-through to ``retry.backoff_base_ms``."""
-        return self.retry.backoff_base_ms
-
-    @property
-    def backoff_multiplier(self) -> float:
-        """Read-through to ``retry.backoff_multiplier``."""
-        return self.retry.backoff_multiplier
-
-    @property
-    def cache_ttl_s(self) -> float:
-        """Read-through to ``cache.ttl_s``."""
-        return self.cache.ttl_s
-
-    @property
-    def cache_max_entries(self) -> int:
-        """Read-through to ``cache.max_entries``."""
-        return self.cache.max_entries
-
-
 _DEFAULT_POLICY: "ExecutionPolicy | None" = None
 
 
@@ -1072,34 +931,15 @@ class CircuitBreaker:
 _CacheEntry = tuple[float, float, ProviderResult]
 
 
-class _InflightFetch:
-    """One in-progress fetch other threads may join (single-flight).
-
-    The first thread to miss on a request key becomes the *leader* and
-    runs the fetch; concurrent threads missing on the same key become
-    *waiters*, blocking on :attr:`done` and sharing the leader's outcome
-    instead of re-invoking the provider.
-    """
-
-    __slots__ = ("done", "outcome", "leader_span_id")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.outcome: FetchOutcome | None = None
-        #: The leader's ``engine.fetch`` span id (set when tracing is on)
-        #: — waiter spans link to it, tying a join to the one provider
-        #: invocation that actually did the work.
-        self.leader_span_id: str | None = None
-
-
 class ExecutionEngine:
     """Cached, parallel, instrumented, resilient execution of fetches.
 
     Thread-safety contract: one engine is safe to share across request
-    threads and tenants.  The cache, breakers, stats, in-flight table and
-    resolved-policy memos are guarded by the engine lock; request-scoped
-    state (:meth:`scope` memos, active deadlines) is per-thread and
-    explicitly handed to pool workers by :meth:`execute_many`.  See
+    threads and tenants.  The cache, breakers, stats and resolved-policy
+    memos are guarded by the engine lock; request-scoped state
+    (:meth:`scope` memos, active deadlines) is per-thread and explicitly
+    handed to pool workers by :meth:`execute_many`.  Concurrent misses on
+    one key are not coalesced: each invokes the provider.  See
     ``docs/load_testing.md`` for the full contract.
     """
 
@@ -1112,7 +952,6 @@ class ExecutionEngine:
         timer: Callable[[], float] = time.perf_counter,
         sleep: Callable[[float], None] = time.sleep,
         clock: "SimulationClock | None" = None,
-        single_flight: bool = True,
         tracer: "Tracer | None" = None,
     ):
         self.registry = registry
@@ -1138,10 +977,6 @@ class ExecutionEngine:
         #: tenant's fetches resolve retry/cache knobs from its own policy
         #: without touching the shared engine policy or other tenants.
         self._tenant_policies: dict[str, ExecutionPolicy] = {}
-        #: Identical-fetch coalescing across requests/threads: request
-        #: key -> the in-flight fetch concurrent callers join.
-        self._single_flight = bool(single_flight)
-        self._inflight: dict[RequestKey, _InflightFetch] = {}
         self._cache: OrderedDict[RequestKey, _CacheEntry] = OrderedDict()
         self._seen_store_version = store.version if store is not None else -1
         self._seen_registry_version = registry.version
@@ -1340,20 +1175,20 @@ class ExecutionEngine:
             # in the engine and pays nothing for observability here.
             cached = self._lookup(key)
             if cached is not None:
-                self.stats.record_cache_hit(endpoint)
+                self.stats.count("cache_hits", endpoint)
                 return FetchOutcome(endpoint, result=cached)
-            self.stats.record_cache_miss(endpoint)
-            return self._run_guarded(endpoint, request, key, deadline)
+            self.stats.count("cache_misses", endpoint)
+            return self._run_gated(endpoint, request, key, deadline)
         with tracer.span("engine.execute") as sp:
             sp.set("endpoint", endpoint)
             cached = self._lookup(key)
             if cached is not None:
-                self.stats.record_cache_hit(endpoint)
+                self.stats.count("cache_hits", endpoint)
                 sp.set("cache", "hit")
                 return FetchOutcome(endpoint, result=cached)
-            self.stats.record_cache_miss(endpoint)
+            self.stats.count("cache_misses", endpoint)
             sp.set("cache", "miss")
-            outcome = self._run_guarded(endpoint, request, key, deadline)
+            outcome = self._run_gated(endpoint, request, key, deadline)
             sp.set("outcome", outcome.status.value)
             return outcome
 
@@ -1384,17 +1219,17 @@ class ExecutionEngine:
                     # miss's single execution — counting it as a hit inflated
                     # cache_hit_rate, so it gets its own counter.
                     if key in hit_keys:
-                        self.stats.record_cache_hit(endpoint)
+                        self.stats.count("cache_hits", endpoint)
                     else:
-                        self.stats.record_dedup(endpoint)
+                        self.stats.count("dedups", endpoint)
                     continue
                 cached = self._lookup(key)
                 if cached is not None:
-                    self.stats.record_cache_hit(endpoint)
+                    self.stats.count("cache_hits", endpoint)
                     hit_keys.add(key)
                     outcomes[key] = FetchOutcome(endpoint, result=cached)
                 else:
-                    self.stats.record_cache_miss(endpoint)
+                    self.stats.count("cache_misses", endpoint)
                     outcomes[key] = FetchOutcome(endpoint)  # placeholder
                     pending.append((key, endpoint, request))
 
@@ -1413,61 +1248,31 @@ class ExecutionEngine:
             ) -> FetchOutcome:
                 with tracer.attach(caller_ctx):
                     if scope_memo is None:
-                        return self._run_guarded(endpoint, request, key, deadline)
+                        return self._run_gated(endpoint, request, key, deadline)
                     stack = self._memo_stack()
                     stack.append(scope_memo)
                     try:
-                        return self._run_guarded(endpoint, request, key, deadline)
+                        return self._run_gated(endpoint, request, key, deadline)
                     finally:
                         stack.pop()
 
-            # Misses whose key is already in flight on another thread are not
-            # submitted to the pool: a submitted waiter would occupy a scarce
-            # pool slot doing nothing but waiting on the leader's event, so
-            # under a saturated pool a thundering herd of identical fan-outs
-            # used to queue *behind itself*.  Joining from this thread leaves
-            # every slot for fetches that actually invoke a provider.
-            to_join: list[
-                tuple[RequestKey, str, ProviderRequest, _InflightFetch]
-            ] = []
-            to_run = pending
-            if self._single_flight and pending:
-                leading = self._leading_keys()
-                to_run = []
-                with self._lock:
-                    for key, endpoint, request in pending:
-                        flight = self._inflight.get(key)
-                        if flight is not None and key not in leading:
-                            to_join.append((key, endpoint, request, flight))
-                        else:
-                            to_run.append((key, endpoint, request))
-
-            if len(to_run) > 1 and self._policy.max_workers > 1:
+            if len(pending) > 1 and self._policy.max_workers > 1:
                 futures = [
                     self._executor().submit(run_one, key, endpoint, request)
-                    for key, endpoint, request in to_run
+                    for key, endpoint, request in pending
                 ]
-                for key, endpoint, request, flight in to_join:
-                    outcomes[key] = self._await_flight(
-                        endpoint, request, key, flight, deadline
-                    )
                 finished = [future.result() for future in futures]
             else:
-                for key, endpoint, request, flight in to_join:
-                    outcomes[key] = self._await_flight(
-                        endpoint, request, key, flight, deadline
-                    )
                 finished = [
                     run_one(key, endpoint, request)
-                    for key, endpoint, request in to_run
+                    for key, endpoint, request in pending
                 ]
-            for (key, _, _), outcome in zip(to_run, finished):
+            for (key, _, _), outcome in zip(pending, finished):
                 outcomes[key] = outcome
             if batch_sp:
                 batch_sp.set("calls", len(calls))
                 batch_sp.set("hits", len(hit_keys))
-                batch_sp.set("ran", len(to_run))
-                batch_sp.set("joined", len(to_join))
+                batch_sp.set("ran", len(pending))
             return [outcomes[key] for key in keys]
 
     def fetch(self, endpoint: str, request: ProviderRequest) -> ProviderResult:
@@ -1484,14 +1289,6 @@ class ExecutionEngine:
         if outcome.result is not None:
             return outcome.result
         raise outcome.error
-
-    def fetch_many(
-        self,
-        calls: Sequence[tuple[str, ProviderRequest]],
-        deadline: Deadline | None = None,
-    ) -> list[FetchOutcome]:
-        """Alias of :meth:`execute_many` (the pre-redesign name)."""
-        return self.execute_many(calls, deadline=deadline)
 
     def estimate(self, endpoint: str, request: ProviderRequest) -> int | None:
         """Predict the fetch's result cardinality without invoking it.
@@ -1517,7 +1314,7 @@ class ExecutionEngine:
         key = self._key(endpoint, request)
         cached = self._lookup(key)
         if cached is not None:
-            self.stats.record_estimate(endpoint)
+            self.stats.count("estimates", endpoint)
             return cached.payload_size()
         getter = getattr(self.registry, "estimator", None)
         estimator = getter(endpoint) if callable(getter) else None
@@ -1535,7 +1332,7 @@ class ExecutionEngine:
             return None
         if value is None:
             return None
-        self.stats.record_estimate(endpoint)
+        self.stats.count("estimates", endpoint)
         return max(0, int(value))
 
     @contextmanager
@@ -1876,8 +1673,8 @@ class ExecutionEngine:
         """Fold the store's saved-bump counter into the stats (lock held)."""
         total = getattr(self.store, "coalesced_bumps", 0)
         if isinstance(total, int) and total > self._seen_coalesced_bumps:
-            self.stats.record_coalesced_bumps(
-                total - self._seen_coalesced_bumps
+            self.stats.count(
+                "coalesced_bumps", "", total - self._seen_coalesced_bumps
             )
             self._seen_coalesced_bumps = total
 
@@ -1934,7 +1731,7 @@ class ExecutionEngine:
                 deps = dependencies[endpoint]
                 if deps is None or deps & hard:
                     del self._cache[key]
-                    self.stats.record_invalidation(endpoint)
+                    self.stats.count("invalidations", endpoint)
                     dropped_n += 1
                     continue
                 if not (deps & patchable):
@@ -1944,7 +1741,7 @@ class ExecutionEngine:
                 patcher = patchers[endpoint]
                 if patcher is None:
                     del self._cache[key]
-                    self.stats.record_invalidation(endpoint)
+                    self.stats.count("invalidations", endpoint)
                     dropped_n += 1
                     continue
                 fresh_until, stale_until, result = entry
@@ -1954,13 +1751,13 @@ class ExecutionEngine:
                     patched = None
                 if patched is None:
                     del self._cache[key]
-                    self.stats.record_invalidation(endpoint)
-                    self.stats.record_delta_fallback(endpoint)
+                    self.stats.count("invalidations", endpoint)
+                    self.stats.count("delta_fallbacks", endpoint)
                     dropped_n += 1
                     continue
                 if patched is not result:
                     self._cache[key] = (fresh_until, stale_until, patched)
-                self.stats.record_delta_patch(endpoint)
+                self.stats.count("delta_patches", endpoint)
                 patched_n += 1
             if sp:
                 sp.set("domains", ",".join(sorted(changed)))
@@ -1989,146 +1786,18 @@ class ExecutionEngine:
                 )
             return self._pool
 
-    def _run_guarded(
-        self,
-        endpoint: str,
-        request: ProviderRequest,
-        key: RequestKey,
-        deadline: Deadline | None,
-    ) -> FetchOutcome:
-        """Post-cache-miss execution, coalesced across requests.
-
-        With single-flight enabled (the default), the first thread to
-        miss on *key* becomes the leader and runs the gated fetch; any
-        thread missing on the same key while that fetch is in flight
-        waits for the leader's outcome instead of invoking the provider
-        again — one provider call, N waiters.
-        """
-        if not self._single_flight:
-            return self._run_gated(endpoint, request, key, deadline)
-        leading = self._leading_keys()
-        if key in leading:
-            # Re-entrant fetch of a key this thread is already leading
-            # (a provider calling back into the engine): joining our own
-            # flight would deadlock, so run directly.
-            return self._run_gated(endpoint, request, key, deadline)
-        with self._lock:
-            flight = self._inflight.get(key)
-            leader = flight is None
-            if leader:
-                flight = self._inflight[key] = _InflightFetch()
-        if not leader:
-            return self._await_flight(endpoint, request, key, flight, deadline)
-        leading.add(key)
-        outcome: FetchOutcome | None = None
-        try:
-            outcome = self._run_gated(
-                endpoint, request, key, deadline, flight=flight
-            )
-            return outcome
-        finally:
-            leading.discard(key)
-            with self._lock:
-                if self._inflight.get(key) is flight:
-                    del self._inflight[key]
-            flight.outcome = outcome
-            flight.done.set()
-
-    def _await_flight(
-        self,
-        endpoint: str,
-        request: ProviderRequest,
-        key: RequestKey,
-        flight: _InflightFetch,
-        deadline: Deadline | None,
-    ) -> FetchOutcome:
-        """Wait on an identical in-flight fetch and share its outcome.
-
-        The waiter's span *links* to the leader's fetch span (it is not
-        a child — the leader belongs to someone else's trace), so a
-        traced join points at the invocation that did the work.  The
-        link is resolved after the wait: the leader publishes its span
-        id on the flight when its gated fetch starts.
-        """
-        tracer = self.tracer
-        if not tracer.enabled:
-            return self._await_flight_inner(
-                endpoint, request, key, flight, deadline
-            )
-        with tracer.span("engine.join") as sp:
-            sp.set("endpoint", endpoint)
-            outcome = self._await_flight_inner(
-                endpoint, request, key, flight, deadline
-            )
-            if flight.leader_span_id:
-                sp.links = (flight.leader_span_id,)
-            sp.set("outcome", outcome.status.value)
-            return outcome
-
-    def _await_flight_inner(
-        self,
-        endpoint: str,
-        request: ProviderRequest,
-        key: RequestKey,
-        flight: _InflightFetch,
-        deadline: Deadline | None,
-    ) -> FetchOutcome:
-        if deadline is None:
-            flight.done.wait()
-        else:
-            remaining_s = deadline.remaining_ms(self._timer()) / 1000.0
-            if not flight.done.wait(timeout=remaining_s):
-                # The shared fetch is still running and this caller's
-                # budget is spent: degrade exactly like a direct miss.
-                tenant = request.context.team_id
-                policy = self._policy_for(endpoint, tenant)
-                self.stats.record_deadline_skip(endpoint)
-                stale = self._stale_outcome(
-                    endpoint, key, policy, "deadline exhausted"
-                )
-                if stale is not None:
-                    return stale
-                return FetchOutcome(
-                    endpoint,
-                    error=DeadlineExceededError(endpoint, deadline.budget_ms),
-                    status=FetchStatus.SKIPPED,
-                    reason="deadline exhausted",
-                )
-        outcome = flight.outcome
-        if outcome is None:
-            # The leader died without publishing (a non-HumboldtError
-            # escaped); fall back to fetching directly.
-            return self._run_gated(endpoint, request, key, deadline)
-        self.stats.record_single_flight(endpoint)
-        if outcome.fresh and outcome.result is not None:
-            stack = self._memo_stack()
-            if stack:
-                stack[-1][key] = outcome.result
-        return outcome
-
-    def _leading_keys(self) -> set:
-        keys = getattr(self._ambient, "leading", None)
-        if keys is None:
-            keys = self._ambient.leading = set()
-        return keys
-
     def _run_gated(
         self,
         endpoint: str,
         request: ProviderRequest,
         key: RequestKey,
         deadline: Deadline | None,
-        flight: _InflightFetch | None = None,
     ) -> FetchOutcome:
-        """Deadline and breaker gates, then the middleware chain, mapping
-        every arm to a :class:`FetchOutcome`.  When this fetch leads a
-        single-flight, its span id is published on *flight* so waiters
-        can link to it."""
+        """Post-cache-miss execution: deadline and breaker gates, then the
+        middleware chain, mapping every arm to a :class:`FetchOutcome`."""
         with self.tracer.span("engine.fetch") as sp:
             if sp:
                 sp.set("endpoint", endpoint)
-                if flight is not None:
-                    flight.leader_span_id = sp.span_id
             tenant = request.context.team_id
             policy = self._policy_for(endpoint, tenant)
             # Breakers are engine-wide: their knobs resolve from the shared
@@ -2137,7 +1806,7 @@ class ExecutionEngine:
             base = policy if not tenant else self._policy_for(endpoint)
             now = self._timer()
             if deadline is not None and deadline.expired(now):
-                self.stats.record_deadline_skip(endpoint)
+                self.stats.count("deadline_skips", endpoint)
                 stale = self._stale_outcome(
                     endpoint, key, policy, "deadline exhausted"
                 )
@@ -2158,7 +1827,7 @@ class ExecutionEngine:
                     endpoint, base, now
                 )
                 if not allowed:
-                    self.stats.record_breaker_rejection(endpoint)
+                    self.stats.count("breaker_rejections", endpoint)
                     stale = self._stale_outcome(
                         endpoint, key, policy, "circuit open"
                     )
@@ -2251,7 +1920,7 @@ class ExecutionEngine:
         if held is None:
             return None
         result, age_s = held
-        self.stats.record_stale_served(endpoint)
+        self.stats.count("stale_served", endpoint)
         return FetchOutcome(
             endpoint,
             result=result,
@@ -2319,7 +1988,7 @@ class ExecutionEngine:
             if breaker.state is not before:
                 self.stats.record_breaker_state(endpoint, breaker.state.value)
                 if breaker.state is BreakerState.OPEN:
-                    self.stats.record_breaker_open(endpoint)
+                    self.stats.count("breaker_opens", endpoint)
 
     def breaker_state(self, endpoint: str) -> BreakerState:
         """The endpoint's current breaker state (CLOSED if untracked)."""
@@ -2331,11 +2000,11 @@ class ExecutionEngine:
         try:
             result = self._chain(endpoint, request)
         except ProviderError:
-            self.stats.record_error(endpoint)
+            self.stats.count("errors", endpoint)
             raise
         limit = request.context.limit
         if limit > 0 and result.payload_size() >= limit:
-            self.stats.record_truncation(endpoint)
+            self.stats.count("truncations", endpoint)
         return result
 
     def _wrap(self, middleware: Middleware, call_next: CallNext) -> CallNext:
@@ -2363,7 +2032,7 @@ class ExecutionEngine:
     ) -> ProviderResult:
         """Retry transient failures with jittered, deadline-capped backoff.
 
-        The active request deadline (pushed by :meth:`_run_guarded`, so
+        The active request deadline (pushed by :meth:`_run_gated`, so
         worker threads see their own) bounds the schedule two ways: an
         expired deadline stops retrying immediately, and a backoff delay
         never sleeps past the remaining budget.
@@ -2389,7 +2058,7 @@ class ExecutionEngine:
                     )
                 if deadline is not None:
                     delay_ms = min(delay_ms, deadline.remaining_ms(now))
-                self.stats.record_retry(endpoint)
+                self.stats.count("retries", endpoint)
                 if delay_ms > 0:
                     self._sleep(delay_ms / 1000.0)
                 attempt += 1

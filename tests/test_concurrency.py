@@ -10,8 +10,8 @@ Regression coverage for the concurrency fixes that the load harness
   ``execute_many`` pool workers;
 * the lazily-built thread pool racing its own construction, and a policy
   swap leaving a stale-sized pool;
-* cross-request single-flight: N concurrent identical fetches, one
-  provider invocation;
+* concurrent failing fetches of one key each returning an error
+  instead of hanging;
 * ``SqliteBackend`` parallel readers on per-thread connections.
 
 Plus a free-for-all stress run (fetch / invalidate / policy-swap from
@@ -106,7 +106,8 @@ def _hammer(n_threads: int, target) -> list:
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads), "a worker hung"
     assert not errors, errors
     return results
 
@@ -292,103 +293,6 @@ class TestExecutorPool:
         engine.close()
 
 
-class TestSingleFlight:
-    def test_identical_in_flight_fetches_share_one_invocation(self):
-        endpoint = CountingEndpoint(latency_s=0.03)
-        engine = _engine(
-            {"x://count": endpoint},
-            policy=ExecutionPolicy.defaults().replace(cache_ttl_s=0),
-        )
-        request = ProviderRequest(context=RequestContext(user_id="u-hot"))
-        outcomes = _hammer(
-            12, lambda i: engine.execute("x://count", request)
-        )
-        assert all(o.status is FetchStatus.OK for o in outcomes)
-        assert all(
-            o.result.items == outcomes[0].result.items
-            for o in outcomes
-        )
-        assert endpoint.calls == 1
-        assert engine.stats.single_flights == 11
-
-    def test_user_agnostic_fetches_coalesce_across_users(self):
-        """Distinct users and teams share one key on an endpoint that
-        declares it reads no context: one invocation, every other thread
-        joins it; a per-user endpoint beside it stays keyed per user."""
-        shared = CountingEndpoint(latency_s=0.05)
-        personal = CountingEndpoint(latency_s=0.05)
-        registry = EndpointRegistry()
-        registry.register("x://shared", shared, context=())
-        registry.register("x://personal", personal, context=("user_id",))
-        engine = ExecutionEngine(
-            registry,
-            policy=ExecutionPolicy.defaults().replace(cache_ttl_s=0),
-        )
-
-        def fetch(i):
-            return (
-                engine.execute("x://shared", ProviderRequest(
-                    context=RequestContext(
-                        user_id=f"u-{i}", team_id=f"t-{i % 3}", limit=i
-                    )
-                )),
-                engine.execute("x://personal", ProviderRequest(
-                    context=RequestContext(user_id=f"u-{i}")
-                )),
-            )
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            outcomes = _hammer(12, fetch)
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(o.status is FetchStatus.OK for pair in outcomes for o in pair)
-        assert shared.calls == 1
-        assert engine.stats.endpoint("x://shared").single_flights == 11
-        assert personal.calls == 12
-
-    def test_distinct_keys_do_not_coalesce(self):
-        endpoint = CountingEndpoint(latency_s=0.01)
-        engine = _engine(
-            {"x://count": endpoint},
-            policy=ExecutionPolicy.defaults().replace(cache_ttl_s=0),
-        )
-        _hammer(
-            6,
-            lambda i: engine.execute(
-                "x://count",
-                ProviderRequest(context=RequestContext(user_id=f"u-{i}")),
-            ),
-        )
-        assert endpoint.calls == 6
-        assert engine.stats.single_flights == 0
-
-    def test_single_flight_disabled_calls_per_fetch(self):
-        endpoint = CountingEndpoint(latency_s=0.03)
-        engine = _engine(
-            {"x://count": endpoint},
-            policy=ExecutionPolicy.defaults().replace(cache_ttl_s=0),
-            single_flight=False,
-        )
-        request = ProviderRequest()
-        _hammer(8, lambda i: engine.execute("x://count", request))
-        assert endpoint.calls == 8
-        assert engine.stats.single_flights == 0
-
-    def test_waiters_get_errors_not_hangs_when_leader_fails(self):
-        endpoint = FailingEndpoint()
-        engine = _engine(
-            {"x://fail": endpoint},
-            policy=ExecutionPolicy.defaults().replace(
-                attempts=1, breaker_failure_threshold=1000, cache_ttl_s=0
-            ),
-        )
-        request = ProviderRequest()
-        outcomes = _hammer(8, lambda i: engine.execute("x://fail", request))
-        assert all(o.status is FetchStatus.ERROR for o in outcomes)
-
-
 def _seeded_store(n: int = 12) -> CatalogStore:
     store = CatalogStore()
     store.add_user(User(id="u-1", name="Stress User"))
@@ -456,17 +360,11 @@ class TestEngineStress:
 
         fetch_counts = _hammer(8, worker)
         stop.set()
-        # Books balance: every fetch was answered by a hit, a miss (one
-        # invocation each, attempts=1..2 but no failures so no retries),
-        # or a single-flight join.
+        # Books balance: every fetch was answered by a hit or a miss (one
+        # invocation each, attempts=1..2 but no failures so no retries).
         totals = engine.stats.snapshot()["totals"]
         assert totals["errors"] == 0
-        assert (
-            totals["cache_hits"]
-            + totals["cache_misses"]
-            + totals["single_flights"]
-            == sum(fetch_counts)
-        )
+        assert totals["cache_hits"] + totals["cache_misses"] == sum(fetch_counts)
         assert totals["cache_misses"] == totals["calls"]
         # Quiescent read returns the live truth — no stale entry survived
         # the concurrent invalidation storm.
@@ -475,6 +373,22 @@ class TestEngineStress:
         assert [a.artifact_id for a in outcome.result.items] == \
             store.by_type("table")
         engine.close()
+
+    def test_concurrent_failing_fetches_each_return_an_error(self):
+        """Eight threads miss on one key of a failing endpoint at once:
+        each fetch invokes the provider and gets its own error outcome,
+        and none hangs."""
+        endpoint = FailingEndpoint()
+        engine = _engine(
+            {"x://fail": endpoint},
+            policy=ExecutionPolicy.defaults().replace(
+                attempts=1, breaker_failure_threshold=1000, cache_ttl_s=0
+            ),
+        )
+        request = ProviderRequest()
+        outcomes = _hammer(8, lambda i: engine.execute("x://fail", request))
+        assert all(o.status is FetchStatus.ERROR for o in outcomes)
+        assert endpoint.calls == 8
 
     def test_tenant_policies_are_isolated_under_contention(self):
         """Tenant overlays set/cleared concurrently never affect other
@@ -491,17 +405,17 @@ class TestEngineStress:
             for _ in range(50):
                 if index % 2 == 0:
                     engine.set_tenant_policy(tenant, overlay)
-                    assert engine.tenant_policy(tenant).attempts == 7
+                    assert engine.tenant_policy(tenant).retry.attempts == 7
                     engine.clear_tenant_policy(tenant)
                 else:
                     # Readers: a foreign tenant's churn never leaks in.
-                    assert engine.tenant_policy("t-stable").attempts == 1
+                    assert engine.tenant_policy("t-stable").retry.attempts == 1
                     engine.execute("x://count", ProviderRequest(
                         context=RequestContext(team_id="t-stable")
                     ))
 
         _hammer(8, worker)
-        assert engine.tenant_policy("t-stable").attempts == 1
+        assert engine.tenant_policy("t-stable").retry.attempts == 1
 
 
 class TestSqliteConcurrentReaders:
@@ -698,12 +612,7 @@ class TestStreamingWritersUnderLoad:
         stream.flush()
         totals = engine.stats.snapshot()["totals"]
         assert totals["errors"] == 0
-        assert (
-            totals["cache_hits"]
-            + totals["cache_misses"]
-            + totals["single_flights"]
-            == sum(fetch_counts)
-        )
+        assert totals["cache_hits"] + totals["cache_misses"] == sum(fetch_counts)
         # Quiescent reads equal the live provider truth.
         for request in requests:
             for uri in ("catalog://recents", "catalog://most_viewed"):

@@ -1,7 +1,7 @@
 """Tests for the provider execution layer.
 
 Covers the engine's cache (hit/miss, TTL, LRU, invalidation on catalog
-mutation, registry swap and spec swap), parallel ``fetch_many`` with
+mutation, registry swap and spec swap), parallel ``execute_many`` with
 deterministic ordering and fault containment, the retry/backoff
 middleware composing with :mod:`repro.providers.faults`, instrumentation,
 and the end-to-end guarantees: repeated queries and overview
@@ -39,6 +39,7 @@ from repro.providers.execution import (
     CachePolicy,
     ExecutionEngine,
     ExecutionPolicy,
+    ExecutionStats,
     FetchStatus,
     RetryPolicy,
     request_key,
@@ -208,45 +209,7 @@ class TestDeclaredContextKeys:
         ])
         assert all(o.ok for o in outcomes)
         assert endpoint.calls == 1
-        assert engine.stats.dedups == 2
-
-    def test_single_flight_coalesces_across_users(self):
-        entered = threading.Event()
-        release = threading.Event()
-        calls = []
-
-        def slow(request):
-            calls.append(request.context.user_id)
-            entered.set()
-            release.wait(timeout=5)
-            return list_result([ScoredArtifact("a-1")])
-
-        registry = EndpointRegistry()
-        registry.register("x://shared", slow, context=())
-        engine = ExecutionEngine(
-            registry,
-            policy=ExecutionPolicy.defaults().replace(cache_ttl_s=0),
-        )
-        leader = threading.Thread(
-            target=lambda: engine.execute("x://shared", _ctx("u-1", "t-1"))
-        )
-        leader.start()
-        assert entered.wait(timeout=5)
-        await_flight = engine._await_flight
-
-        def joined(*args):
-            # The waiter holds the leader's flight now: let it finish.
-            release.set()
-            return await_flight(*args)
-
-        engine._await_flight = joined
-        outcome = engine.execute("x://shared", _ctx("u-2", "t-2"))
-        leader.join(timeout=5)
-        assert outcome.ok
-        assert outcome.result.artifact_ids() == ["a-1"]
-        assert calls == ["u-1"]
-        assert engine.stats.single_flights == 1
-
+        assert engine.stats.total("dedups") == 2
 
 class TestCache:
     def test_second_fetch_is_a_hit(self, counting_registry):
@@ -257,8 +220,8 @@ class TestCache:
         second = engine.fetch("x://count", request)
         assert endpoint.calls == 1
         assert first.artifact_ids() == second.artifact_ids()
-        assert engine.stats.cache_hits == 1
-        assert engine.stats.cache_misses == 1
+        assert engine.stats.total("cache_hits") == 1
+        assert engine.stats.total("cache_misses") == 1
 
     def test_distinct_requests_both_fetch(self, counting_registry):
         registry, endpoint = counting_registry
@@ -380,7 +343,7 @@ class TestInvalidationOnMutation:
         tiny_app.update_spec(tiny_app.spec)
         assert tiny_app.engine.cache_size == 0
         # stats survive the swap — the engine is shared across versions
-        assert tiny_app.stats.total_calls > 0
+        assert tiny_app.stats.total("calls") > 0
 
 
 class TestScope:
@@ -410,7 +373,7 @@ class TestFetchMany:
             ("x://alpha", ProviderRequest()),
             ("x://beta", ProviderRequest()),
         ]
-        outcomes = engine.fetch_many(calls)
+        outcomes = engine.execute_many(calls)
         assert [o.endpoint for o in outcomes] == [
             "x://gamma", "x://alpha", "x://beta",
         ]
@@ -426,9 +389,9 @@ class TestFetchMany:
             )
         engine = ExecutionEngine(registry)
         calls = [(f"x://p{index}", ProviderRequest()) for index in range(12)]
-        first = [o.result.artifact_ids() for o in engine.fetch_many(calls)]
+        first = [o.result.artifact_ids() for o in engine.execute_many(calls)]
         engine.invalidate()
-        second = [o.result.artifact_ids() for o in engine.fetch_many(calls)]
+        second = [o.result.artifact_ids() for o in engine.execute_many(calls)]
         assert first == second
 
     def test_duplicates_fetch_once(self, counting_registry):
@@ -436,7 +399,7 @@ class TestFetchMany:
         engine = ExecutionEngine(
             registry, policy=ExecutionPolicy.defaults().replace(cache_ttl_s=0)
         )
-        outcomes = engine.fetch_many(
+        outcomes = engine.execute_many(
             [("x://count", ProviderRequest())] * 4
         )
         assert endpoint.calls == 1
@@ -450,7 +413,7 @@ class TestFetchMany:
                           name="broken"),
         )
         engine = ExecutionEngine(registry)
-        outcomes = engine.fetch_many([
+        outcomes = engine.execute_many([
             ("x://count", ProviderRequest()),
             ("x://broken", ProviderRequest()),
             ("x://count", ProviderRequest(context=RequestContext(limit=3))),
@@ -458,7 +421,7 @@ class TestFetchMany:
         assert outcomes[0].ok and outcomes[2].ok
         assert not outcomes[1].ok
         assert isinstance(outcomes[1].error, ProviderError)
-        assert engine.stats.total_errors == 1
+        assert engine.stats.total("errors") == 1
 
     def test_actually_runs_on_threads(self):
         registry = EndpointRegistry()
@@ -473,7 +436,7 @@ class TestFetchMany:
         for index in range(6):
             registry.register(f"x://t{index}", make_endpoint(f"id-{index}"))
         engine = ExecutionEngine(registry)
-        engine.fetch_many(
+        engine.execute_many(
             [(f"x://t{index}", ProviderRequest()) for index in range(6)]
         )
         assert any(t.startswith("humboldt-exec") for t in seen_threads)
@@ -483,7 +446,7 @@ class TestFetchMany:
         engine = ExecutionEngine(
             registry, policy=ExecutionPolicy.defaults().replace(max_workers=1)
         )
-        outcomes = engine.fetch_many([
+        outcomes = engine.execute_many([
             ("x://count", ProviderRequest()),
             ("x://count", ProviderRequest(context=RequestContext(limit=3))),
         ])
@@ -507,7 +470,7 @@ class TestRetryMiddleware:
         result = engine.fetch("x://flaky", ProviderRequest())
         assert result.artifact_ids() == ["a-1", "a-2"]
         assert flaky.calls == 2
-        assert engine.stats.total_retries == 1
+        assert engine.stats.total("retries") == 1
         assert sleeps == [0.01]
 
     def test_backoff_doubles(self):
@@ -540,7 +503,7 @@ class TestRetryMiddleware:
         with pytest.raises(ProviderError):
             engine.fetch("x://flaky", ProviderRequest())
         assert flaky.calls == 3
-        assert engine.stats.total_retries == 2
+        assert engine.stats.total("retries") == 2
 
     def test_timeout_is_retried(self, tiny_registry):
         original = tiny_registry.resolve("catalog://newest")
@@ -571,7 +534,7 @@ class TestRetryMiddleware:
         )
         with pytest.raises(MissingInputError):
             engine.fetch("catalog://owned_by", ProviderRequest())
-        assert engine.stats.total_retries == 0
+        assert engine.stats.total("retries") == 0
 
     def test_wrong_shape_not_retried(self):
         registry = EndpointRegistry()
@@ -627,14 +590,20 @@ class TestStats:
             "x://big", ProviderRequest(context=RequestContext(limit=3))
         )
         assert engine.stats.endpoint("x://big").truncations == 1
-        assert engine.stats.truncations == 1
+        assert engine.stats.total("truncations") == 1
 
     def test_reset(self, counting_registry):
         registry, _ = counting_registry
         engine = ExecutionEngine(registry)
         engine.fetch("x://count", ProviderRequest())
         engine.stats.reset()
-        assert engine.stats.total_calls == 0
+        assert engine.stats.total("calls") == 0
+
+    def test_count_rejects_an_unknown_counter(self):
+        stats = ExecutionStats()
+        with pytest.raises(KeyError):
+            stats.count("cache_hit", "x://count")
+        assert "engine_cache_hit_total" not in stats.metrics.collect()
 
 
 class TestEndToEndDeduplication:
@@ -642,17 +611,17 @@ class TestEndToEndDeduplication:
 
     def test_repeated_overview_zero_duplicate_invocations(self, tiny_app):
         tiny_app.interface.overview_tabs(user_id="u-ann")
-        calls_after_first = tiny_app.stats.total_calls
+        calls_after_first = tiny_app.stats.total("calls")
         assert calls_after_first > 0
         second = tiny_app.interface.overview_tabs(user_id="u-ann")
-        assert tiny_app.stats.total_calls == calls_after_first
+        assert tiny_app.stats.total("calls") == calls_after_first
         assert [t.provider_name for t in second]  # still fully generated
 
     def test_repeated_query_zero_duplicate_invocations(self, tiny_app):
         first = tiny_app.interface.search("badged: endorsed & type: table")
-        calls_after_first = tiny_app.stats.total_calls
+        calls_after_first = tiny_app.stats.total("calls")
         second = tiny_app.interface.search("badged: endorsed & type: table")
-        assert tiny_app.stats.total_calls == calls_after_first
+        assert tiny_app.stats.total("calls") == calls_after_first
         assert first[0].artifact_ids() == second[0].artifact_ids()
 
     def test_duplicate_subquery_fetches_once_within_search(self, tiny_app):
@@ -662,10 +631,10 @@ class TestEndToEndDeduplication:
 
     def test_mutation_invalidates_between_overviews(self, tiny_app):
         tiny_app.interface.overview_tabs(user_id="u-ann")
-        calls_after_first = tiny_app.stats.total_calls
+        calls_after_first = tiny_app.stats.total("calls")
         tiny_app.store.grant_badge("t-web", "endorsed", "u-ann")
         tiny_app.interface.overview_tabs(user_id="u-ann")
-        assert tiny_app.stats.total_calls > calls_after_first
+        assert tiny_app.stats.total("calls") > calls_after_first
 
     def test_parallel_overview_matches_serial_content(self, tiny_store):
         """Parallel fan-out must not change what the UI shows: a serial
@@ -696,7 +665,7 @@ class TestSearchTruncationSignal:
             evaluator.fetch_limit = 2
             result = tiny_app.interface.search("type: table")[0]
             assert result.truncated
-            assert tiny_app.stats.truncations > 0
+            assert tiny_app.stats.total("truncations") > 0
         finally:
             evaluator.fetch_limit = original
 
@@ -812,26 +781,26 @@ class TestBatchDedupCounting:
     def test_duplicate_of_pending_miss_counts_as_dedup(self, counting_registry):
         registry, endpoint = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch_many([("x://count", ProviderRequest())] * 3)
+        engine.execute_many([("x://count", ProviderRequest())] * 3)
         assert endpoint.calls == 1
-        assert engine.stats.cache_misses == 1
-        assert engine.stats.cache_hits == 0
-        assert engine.stats.dedups == 2
+        assert engine.stats.total("cache_misses") == 1
+        assert engine.stats.total("cache_hits") == 0
+        assert engine.stats.total("dedups") == 2
         assert engine.stats.endpoint("x://count").dedups == 2
 
     def test_duplicate_of_cached_hit_still_counts_as_hit(self, counting_registry):
         registry, endpoint = counting_registry
         engine = ExecutionEngine(registry)
         engine.fetch("x://count", ProviderRequest())  # prime the cache
-        engine.fetch_many([("x://count", ProviderRequest())] * 2)
+        engine.execute_many([("x://count", ProviderRequest())] * 2)
         assert endpoint.calls == 1
-        assert engine.stats.cache_hits == 2
-        assert engine.stats.dedups == 0
+        assert engine.stats.total("cache_hits") == 2
+        assert engine.stats.total("dedups") == 0
 
     def test_hit_rate_unpolluted_by_batch_duplicates(self, counting_registry):
         registry, _ = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch_many([("x://count", ProviderRequest())] * 10)
+        engine.execute_many([("x://count", ProviderRequest())] * 10)
         assert engine.stats.cache_hit_rate == 0.0
 
 
@@ -850,7 +819,7 @@ class TestEngineLifecycle:
             registry.register(f"x://t{index}", CountingEndpoint())
         before = _exec_threads()
         engine = ExecutionEngine(registry)
-        engine.fetch_many(
+        engine.execute_many(
             [(f"x://t{index}", ProviderRequest()) for index in range(4)]
         )
         spawned = _exec_threads() - before
@@ -874,7 +843,7 @@ class TestEngineLifecycle:
             registry.register(f"x://t{index}", CountingEndpoint())
         before = _exec_threads()
         with ExecutionEngine(registry) as engine:
-            engine.fetch_many(
+            engine.execute_many(
                 [(f"x://t{index}", ProviderRequest()) for index in range(4)]
             )
         assert all(not t.is_alive() for t in _exec_threads() - before)
@@ -917,15 +886,6 @@ class TestRemovedFlatPolicyConstructor:
         )
         assert policy.retry.attempts == 3
         assert policy.cache.ttl_s == 60.0
-
-    def test_read_through_properties_survive_the_removal(self):
-        policy = ExecutionPolicy.defaults().replace(
-            attempts=4, backoff_base_ms=7.0, cache_max_entries=11
-        )
-        assert policy.attempts == 4
-        assert policy.backoff_base_ms == 7.0
-        assert policy.cache_max_entries == 11
-        assert policy.cache_ttl_s == CachePolicy().ttl_s
 
     def test_canonical_construction_does_not_warn(self, recwarn):
         ExecutionPolicy.defaults().replace(
@@ -1049,7 +1009,7 @@ class TestCircuitBreaker:
             outcome = engine.execute("x://shaky", ProviderRequest())
             assert outcome.status is FetchStatus.ERROR
         assert engine.breaker_state("x://shaky") is BreakerState.OPEN
-        assert engine.stats.breaker_opens == 1
+        assert engine.stats.total("breaker_opens") == 1
 
     def test_open_breaker_skips_without_invoking(self):
         registry, failing = self._registry()
@@ -1060,7 +1020,7 @@ class TestCircuitBreaker:
         assert outcome.skipped and not outcome.ok
         assert isinstance(outcome.error, CircuitOpenError)
         assert failing.calls == 3  # the rejected fetch never ran
-        assert engine.stats.breaker_rejections == 1
+        assert engine.stats.total("breaker_rejections") == 1
 
     def test_half_open_probe_success_closes(self):
         registry, failing = self._registry(fail_count=3)
@@ -1085,7 +1045,7 @@ class TestCircuitBreaker:
         rejected = engine.execute("x://shaky", ProviderRequest())
         assert rejected.skipped
         assert failing.calls == 4
-        assert engine.stats.breaker_opens == 2
+        assert engine.stats.total("breaker_opens") == 2
 
     def test_success_resets_failure_streak(self):
         registry = EndpointRegistry()
@@ -1098,7 +1058,7 @@ class TestCircuitBreaker:
         for _ in range(9):
             engine.execute("x://shaky", ProviderRequest())
         assert engine.breaker_state("x://shaky") is BreakerState.CLOSED
-        assert engine.stats.breaker_rejections == 0
+        assert engine.stats.total("breaker_rejections") == 0
 
     def test_disabled_breaker_never_rejects(self):
         registry, failing = self._registry()
@@ -1147,7 +1107,7 @@ class TestStaleWhileRevalidate:
         assert outcome.result.artifact_ids() == ["a-1", "a-2"]
         assert "circuit open" in outcome.reason
         assert "past TTL" in outcome.reason
-        assert engine.stats.stale_served == 1
+        assert engine.stats.total("stale_served") == 1
         assert wobbly.calls == 4  # stale serve did not invoke
 
     def test_exhausted_deadline_serves_marked_stale(self):
@@ -1160,7 +1120,7 @@ class TestStaleWhileRevalidate:
         )
         assert outcome.stale
         assert "deadline exhausted" in outcome.reason
-        assert engine.stats.deadline_skips == 1
+        assert engine.stats.total("deadline_skips") == 1
         assert wobbly.calls == 1
 
     def test_no_fallback_past_grace_period(self):
@@ -1194,7 +1154,7 @@ class TestStaleWhileRevalidate:
         # still stale on the next serve — the grace entry did not get a
         # fresh TTL stamped by being served
         assert engine.execute("x://wobbly", ProviderRequest()).stale
-        assert engine.stats.stale_served == 2
+        assert engine.stats.total("stale_served") == 2
 
     def test_fresh_hit_ignores_deadline(self):
         engine, clock, wobbly = self._warmed_engine()
@@ -1235,7 +1195,7 @@ class TestDeadlineBudget:
         assert outcome.skipped
         assert isinstance(outcome.error, DeadlineExceededError)
         assert endpoint.calls == 0
-        assert engine.stats.deadline_skips == 1
+        assert engine.stats.total("deadline_skips") == 1
 
     def test_batch_stops_attempting_once_budget_spent(self):
         registry = EndpointRegistry()

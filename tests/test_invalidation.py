@@ -238,7 +238,7 @@ class TestInvalidationMatrix:
             tiny_store.record("t-orders", "u-ann", "view")
             engine.fetch("x://entities", ProviderRequest())
         assert endpoints["x://entities"].calls == 1
-        assert engine.stats.cache_hits == 25
+        assert engine.stats.total("cache_hits") == 25
 
     def test_invalidations_counter_records_drops(self, tiny_store):
         engine, _ = build_matrix_engine(tiny_store)
@@ -247,7 +247,7 @@ class TestInvalidationMatrix:
         tiny_store.record("t-orders", "u-ann", "view")
         engine.fetch("x://usage", ProviderRequest())
         # usage, mixed and the undeclared endpoint were dropped.
-        assert engine.stats.invalidations == 3
+        assert engine.stats.total("invalidations") == 3
         assert engine.stats.endpoint("x://usage").invalidations == 1
         assert engine.stats.endpoint("x://entities").invalidations == 0
 
@@ -332,7 +332,7 @@ class TestMembershipSurvivesUsageWrites:
         store.record("t-web", "u-cyd", "view")
         second = engine.fetch("x://tables", request)
         # entities-only declaration: the entry survived the usage write...
-        assert engine.stats.cache_hits == 1
+        assert engine.stats.total("cache_hits") == 1
         # ...and can, because it holds every match, not a usage top-1.
         assert sorted(i.artifact_id for i in second.items) == [
             "t-customers", "t-orders", "t-web",
@@ -356,7 +356,7 @@ class TestMembershipSurvivesUsageWrites:
             )
             # The provider's cache entry survived the usage writes, yet
             # the displayed top-2 matches a cold-cache ground truth.
-            assert app.stats.cache_hits > 0
+            assert app.stats.total("cache_hits") > 0
             assert len(after.artifact_ids()) == 2
             with WorkbookApp(store) as fresh:
                 expected = fresh.interface.open_view(
@@ -451,7 +451,7 @@ class TestNoStaleResults:
                     f"stale result for {query!r} after {label} at step {step}"
                 )
             # The cache did real work across those searches.
-            assert app.stats.cache_hits > 0
+            assert app.stats.total("cache_hits") > 0
 
 
 @settings(max_examples=25, deadline=None)

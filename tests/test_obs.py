@@ -1,7 +1,7 @@
 """Unit tests for :mod:`repro.obs`: tracer, metrics registry, exporters.
 
 Trace-propagation tests that exercise the serving stack (engine pool
-workers, single-flight joins, federation fan-out) live in
+workers, federation fan-out) live in
 ``tests/test_obs_propagation.py``; this file pins the subsystem's own
 contracts — span lifecycle and parenting, the no-op fast path, histogram
 quantile math, Prometheus rendering and the exporter formats.
@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,7 @@ from repro.obs import (
     render_span_tree,
     summarize_latencies,
 )
+from repro.providers.execution import ExecutionStats
 
 
 def make_tracer(ring: RingBufferExporter | None = None, timer=None):
@@ -119,12 +122,6 @@ class TestTracer:
         assert ring.spans() == [span]
         assert span.status == "error"
         assert span.duration_ms == pytest.approx(1.0)
-
-    def test_links_survive_to_dict(self):
-        tracer, ring = make_tracer()
-        with tracer.span("waiter", links=("s00000a",)) as span:
-            pass
-        assert span.to_dict()["links"] == ["s00000a"]
 
 
 class TestNoopTracer:
@@ -354,8 +351,25 @@ class TestExporters:
         tree = render_span_tree([child])  # parent rolled out of the ring
         assert tree.splitlines()[0].startswith("survivor")
 
-    def test_render_span_tree_shows_links(self):
-        tracer = Tracer()
-        span = tracer.start("join", links=("s00042",))
-        tracer.end(span)
-        assert "~> s00042" in render_span_tree([span])
+
+class TestEngineMetricCatalog:
+    """``docs/observability.md`` lists every ``engine_*`` family."""
+
+    @staticmethod
+    def _documented() -> dict[str, tuple[str, tuple[str, ...]]]:
+        doc = Path(__file__).resolve().parent.parent / "docs" / "observability.md"
+        rows = {}
+        for line in doc.read_text(encoding="utf-8").splitlines():
+            match = re.match(r"\| `(engine_\w+)` \| (\w+) \| (.+) \|$", line)
+            if match:
+                name, kind, labels = match.groups()
+                rows[name] = (kind, tuple(re.findall(r"`(\w+)`", labels)))
+        return rows
+
+    def test_table_names_every_family_with_its_kind_and_labels(self):
+        collected = ExecutionStats().metrics.collect()
+        registered = {
+            name: (info["type"], info["labelnames"])
+            for name, info in collected.items()
+        }
+        assert registered == self._documented()

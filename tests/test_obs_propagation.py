@@ -1,9 +1,8 @@
 """Trace propagation across the serving stack's thread boundaries.
 
 The observability subsystem's hard cases are where a request hops
-threads: ``execute_many`` hands work to engine pool workers, a
-single-flight waiter shares another request's fetch, and a federated
-search fans out through member engines running their own evaluators.
+threads: ``execute_many`` hands work to engine pool workers and a
+federated search fans out through member engines running their own evaluators.
 These tests pin that every such hop lands in the caller's trace — and
 that the degraded arms (deadline expiry, open breaker) annotate their
 spans rather than dropping them.
@@ -11,11 +10,9 @@ spans rather than dropping them.
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
-from repro.obs import RingBufferExporter, Tracer, render_span_tree
+from repro.obs import RingBufferExporter, Tracer
 from repro.providers.base import (
     ProviderRequest,
     ScoredArtifact,
@@ -39,22 +36,6 @@ class CountingEndpoint:
     def __call__(self, request):
         self.calls += 1
         return list_result([ScoredArtifact(aid) for aid in self._ids])
-
-
-class BlockingEndpoint:
-    """Blocks inside the provider until released; lets a test hold a
-    fetch in flight while a second request joins it."""
-
-    def __init__(self):
-        self.entered = threading.Event()
-        self.release = threading.Event()
-        self.calls = 0
-
-    def __call__(self, request):
-        self.calls += 1
-        self.entered.set()
-        assert self.release.wait(timeout=5.0)
-        return list_result([ScoredArtifact("a-1")])
 
 
 def traced_engine(registry, **kwargs):
@@ -112,55 +93,6 @@ class TestPoolWorkerPropagation:
         (batch,) = spans["engine.execute_many"]
         assert batch.parent_id == req.span_id
         assert batch.trace_id == req.trace_id
-        engine.close()
-
-
-class TestSingleFlightLinks:
-    def test_waiter_span_links_to_leader_fetch_span(self):
-        registry = EndpointRegistry()
-        endpoint = BlockingEndpoint()
-        registry.register("x://slow", endpoint)
-        engine, ring = traced_engine(registry)
-        outcomes = {}
-
-        def leader():
-            outcomes["leader"] = engine.execute("x://slow", ProviderRequest())
-
-        def waiter():
-            outcomes["waiter"] = engine.execute("x://slow", ProviderRequest())
-
-        lead_thread = threading.Thread(target=leader)
-        lead_thread.start()
-        assert endpoint.entered.wait(timeout=5.0)
-        wait_thread = threading.Thread(target=waiter)
-        wait_thread.start()
-        # Give the waiter time to register on the in-flight fetch, then
-        # let the provider return.
-        deadline = threading.Event()
-        deadline.wait(0.2)
-        endpoint.release.set()
-        lead_thread.join(timeout=5.0)
-        wait_thread.join(timeout=5.0)
-
-        assert endpoint.calls == 1
-        assert outcomes["leader"].status is FetchStatus.OK
-        assert outcomes["waiter"].status is FetchStatus.OK
-        assert engine.stats.single_flights == 1
-
-        spans = by_name(ring)
-        (join,) = spans["engine.join"]
-        leads = [
-            s for s in spans["engine.fetch"]
-            if s.attrs.get("endpoint") == "x://slow"
-        ]
-        (lead_fetch,) = leads
-        # The waiter is in its own trace (it belongs to another request)
-        # but links to the leader's fetch span — the invocation that
-        # actually did its work.
-        assert join.links == (lead_fetch.span_id,)
-        assert join.trace_id != lead_fetch.trace_id
-        assert join.attrs["outcome"] == "ok"
-        assert f"~> {lead_fetch.span_id}" in render_span_tree(ring.spans())
         engine.close()
 
 
