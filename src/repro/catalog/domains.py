@@ -2,7 +2,8 @@
 
 The catalog's writes are not interchangeable.  A usage event changes what
 *interaction* providers (recents, most-viewed) should answer but says
-nothing about ownership or lineage; a badge grant is the reverse.  The
+nothing about ownership or lineage; a badge grant changes what badge
+providers answer and nothing a type, tag or lineage provider reads.  The
 execution layer's result cache keys validity on these **domains** so that
 the overwhelmingly frequent write — a usage event — does not flush results
 of providers that never read usage.
@@ -10,8 +11,14 @@ of providers that never read usage.
 Each domain names one independently-versioned slice of catalog state:
 
 ``entities``
-    Artifact records and their annotations (badges, tags, types, owners)
+    Artifact records and their annotations (tags, types, owners, columns)
     plus the secondary indexes over them.
+``badges``
+    Badge grants on artifacts and the badge and grantor indexes.  A grant
+    bumps only this domain: badges are in neither the searchable text
+    nor the token postings, and an ``entities`` declaration does not
+    cover them, so an endpoint whose membership reads badges declares
+    ``badges`` itself.
 ``usage``
     The usage-event log and its aggregates (views, favourites, recency).
 ``lineage``
@@ -24,8 +31,9 @@ Each domain names one independently-versioned slice of catalog state:
 Providers declare the domains they read (see
 :func:`repro.providers.base.depends_on`); :class:`~repro.catalog.store.
 CatalogStore` bumps the matching counters on write; and the
-:class:`~repro.providers.execution.ExecutionEngine` drops exactly the
-cache entries whose endpoint depends on a mutated domain.
+:class:`~repro.providers.execution.ExecutionEngine` checks each cache
+entry when it is read, dropping (or patching) it only when a domain its
+endpoint depends on moved.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ DOMAIN_USAGE = "usage"
 DOMAIN_LINEAGE = "lineage"
 DOMAIN_MEMBERSHIP = "membership"
 DOMAIN_TEXT = "text"
+DOMAIN_BADGES = "badges"
 
 #: Declaration order is also the display order in stats and docs.
 DOMAINS: tuple[str, ...] = (
@@ -45,6 +54,7 @@ DOMAINS: tuple[str, ...] = (
     DOMAIN_LINEAGE,
     DOMAIN_MEMBERSHIP,
     DOMAIN_TEXT,
+    DOMAIN_BADGES,
 )
 
 ALL_DOMAINS: frozenset[str] = frozenset(DOMAINS)

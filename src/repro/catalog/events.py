@@ -3,7 +3,7 @@
 Every :class:`~repro.catalog.store.CatalogStore` mutation appends a
 typed, immutable record to a bounded in-process :class:`EventLog`
 *before* bumping the corresponding domain version.  Consumers — the
-execution engine's delta-patch sweep, the field resolver's incremental
+execution engine's read-time entry check, the field resolver's incremental
 usage snapshot, the store's own sorted-id memo, the relatedness indexes
 (:mod:`repro.metadata.indexing`), the view factory's card memo
 (:class:`~repro.core.views.factory.ViewFactory`) — read the log by
@@ -24,8 +24,8 @@ buffered for a configurable window (or batch size) and applied through
 :meth:`CatalogStore.record_events` in one shot — one version bump for
 the whole batch instead of one per event.  Buffered events are entirely
 invisible until the flush (state, log and bump all happen together), so
-coalescing trades bounded *ingestion delay* for amortised invalidation
-sweeps without ever serving stale results.
+coalescing trades bounded *ingestion delay* for fewer cache-entry
+patches and drops, without ever serving stale results.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.catalog.domains import (
+    DOMAIN_BADGES,
     DOMAIN_ENTITIES,
     DOMAIN_LINEAGE,
     DOMAIN_MEMBERSHIP,
@@ -84,11 +85,23 @@ class MembershipEventRecord:
 @dataclass(frozen=True)
 class EntitiesEventRecord:
     """An artifact was added (``added=True``) or mutated in place
-    (``added=False`` — badge grants and other non-monotonic edits)."""
+    (``added=False`` — a non-monotonic edit)."""
 
     artifact_id: str
     added: bool = True
     domain: str = DOMAIN_ENTITIES
+
+
+@dataclass(frozen=True)
+class BadgeEventRecord:
+    """A badge was granted on an existing artifact.  Only the artifact's
+    badges changed: its searchable text and every other annotation stay
+    as they were."""
+
+    artifact_id: str
+    badge: str
+    granted_by: str
+    domain: str = DOMAIN_BADGES
 
 
 @dataclass(frozen=True)
@@ -107,6 +120,7 @@ EventRecord = (
     | LineageEventRecord
     | MembershipEventRecord
     | EntitiesEventRecord
+    | BadgeEventRecord
     | OpaqueEventRecord
 )
 
@@ -280,6 +294,7 @@ class EventStream:
 
 
 __all__ = [
+    "BadgeEventRecord",
     "EntitiesEventRecord",
     "EventLog",
     "EventRecord",

@@ -471,9 +471,11 @@ class SqliteBackend(CatalogBackend):
         return dict(self._versions)
 
     def bump(self, domains: Iterable[str] = ()) -> None:
-        self._version += 1
+        # Domain counters first, total last: a reader that sees the new
+        # total then finds every domain counter it covers already moved.
         for domain in domains or ALL_DOMAINS:
             self._versions[domain] += 1
+        self._version += 1
 
     def restore_versions(self, versions: Mapping[str, int],
                          total: int | None = None) -> None:

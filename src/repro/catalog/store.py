@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.catalog.backend import CatalogBackend, InMemoryBackend, grantor_key
 from repro.catalog.domains import (
+    DOMAIN_BADGES,
     DOMAIN_ENTITIES,
     DOMAIN_MEMBERSHIP,
     DOMAIN_TEXT,
@@ -31,6 +32,7 @@ from repro.catalog.domains import (
     DOMAINS,
 )
 from repro.catalog.events import (
+    BadgeEventRecord,
     EntitiesEventRecord,
     EventLog,
     EventRecord,
@@ -486,7 +488,13 @@ class CatalogStore:
     def grant_badge(
         self, artifact_id: str, badge: str, granted_by: str, at: float | None = None
     ) -> Artifact:
-        """Attach a badge to an artifact, reindexing it."""
+        """Attach a badge to an artifact, reindexing it.
+
+        A ``badges``-domain write only: badges are in neither the
+        searchable text nor the token postings, so the ``entities`` and
+        ``text`` versions do not move.  The artifact's token memo is
+        still dropped, as on every new revision of an artifact.
+        """
         artifact = self.artifact(artifact_id)
         self.user(granted_by)  # validate grantor exists
         assignment = BadgeAssignment(
@@ -497,10 +505,8 @@ class CatalogStore:
         updated = artifact.with_badge(assignment)
         self._token_cache.pop(artifact_id, None)
         self._backend.put_artifact(updated)
-        # A badge edits an existing artifact in place: non-monotonic
-        # for anything caching artifact payloads, hence added=False.
-        self._log_event(EntitiesEventRecord(artifact_id, added=False))
-        self._mutated(DOMAIN_ENTITIES, DOMAIN_TEXT)
+        self._log_event(BadgeEventRecord(artifact_id, badge, granted_by))
+        self._mutated(DOMAIN_BADGES)
         return updated
 
     def record_event(self, event: UsageEvent) -> None:
@@ -516,9 +522,9 @@ class CatalogStore:
 
         This is the coalescing primitive under :class:`EventStream`:
         every event is validated, folded and logged individually, but
-        the domain version moves once for the whole batch — dependent
-        caches sweep once instead of N times.  The bumps saved are
-        credited to :attr:`coalesced_bumps`.
+        the domain version moves once for the whole batch — a dependent
+        cache entry is patched or dropped once instead of N times.  The
+        bumps saved are credited to :attr:`coalesced_bumps`.
         """
         batch = list(events)
         if not batch:

@@ -29,11 +29,13 @@ from dataclasses import replace
 from typing import Callable, Iterable
 
 from repro.catalog.domains import (
+    DOMAIN_BADGES,
     DOMAIN_ENTITIES,
     DOMAIN_MEMBERSHIP,
     DOMAIN_USAGE,
 )
 from repro.catalog.events import (
+    BadgeEventRecord,
     EntitiesEventRecord,
     EventLog,
     MembershipEventRecord,
@@ -64,9 +66,10 @@ CATEGORY_PREVIEW_SIZE = 5
 #: Representations whose builders rank with the spec's weights.
 _RANKED = (Representation.LIST, Representation.TILES, Representation.CATEGORIES)
 
-#: Domains a card reads: the artifact, its owner's name and its usage.
-#: An opaque record on any of them leaves the cards unexplained.
-_CARD_DOMAINS = (DOMAIN_ENTITIES, DOMAIN_USAGE, DOMAIN_MEMBERSHIP)
+#: Domains a card reads: the artifact, its badges, its owner's name and
+#: its usage.  An opaque record on any of them leaves the cards
+#: unexplained.
+_CARD_DOMAINS = (DOMAIN_ENTITIES, DOMAIN_BADGES, DOMAIN_USAGE, DOMAIN_MEMBERSHIP)
 
 #: ``card(artifact_id, score=None)``: the card one build shows.
 _CardLookup = Callable[..., ArtifactCard]
@@ -324,7 +327,7 @@ class ViewFactory:
         for record in records:
             if isinstance(record, UsageEventRecord):
                 self._cards.pop(record.event.artifact_id, None)
-            elif isinstance(record, EntitiesEventRecord):
+            elif isinstance(record, (EntitiesEventRecord, BadgeEventRecord)):
                 self._cards.pop(record.artifact_id, None)
             elif _clears_cards(record):
                 self._cards.clear()

@@ -213,7 +213,7 @@ class _FederatedStoreView:
     """Duck-typed version surface the federation engine invalidates on.
 
     The engine only needs ``version``/``domain_versions`` from its store
-    to sweep dependent cache entries; summing the members' counters (plus
+    to check dependent cache entries; summing the members' counters (plus
     a membership generation bumped on add/remove/default changes) means
     any member write — on any backend — invalidates federated search
     caches conservatively.  No event log is exposed, so the engine takes

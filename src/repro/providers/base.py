@@ -320,8 +320,8 @@ def declared_estimator(endpoint: Endpoint) -> Estimator | None:
 PATCHER_ATTR = "__result_patcher__"
 
 #: A delta patcher: given the request a cached result answered, the cached
-#: result itself, and the write-ahead event records appended since the
-#: engine's last invalidation sweep (see :mod:`repro.catalog.events`),
+#: result itself, and the write-ahead event records appended since that
+#: entry was fetched or last patched (see :mod:`repro.catalog.events`),
 #: return the result the endpoint would produce *now* — the cached object
 #: itself when the events provably cannot affect it — or ``None`` to
 #: decline, which makes the engine fall back to drop-and-refetch.

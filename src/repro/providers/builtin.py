@@ -16,6 +16,7 @@ from collections import defaultdict
 from typing import Callable
 
 from repro.catalog.domains import (
+    DOMAIN_BADGES,
     DOMAIN_ENTITIES,
     DOMAIN_LINEAGE,
     DOMAIN_MEMBERSHIP,
@@ -23,6 +24,7 @@ from repro.catalog.domains import (
     DOMAIN_USAGE,
 )
 from repro.catalog.events import (
+    BadgeEventRecord,
     LineageEventRecord,
     MembershipEventRecord,
     UsageEventRecord,
@@ -128,8 +130,9 @@ class BuiltinProviders:
     # -- cache delta patchers ----------------------------------------------
     #
     # A patcher answers: given this endpoint's cached result for this
-    # request and the write-ahead event records since the engine's last
-    # sweep, what would the endpoint return *now*?  Three answers:
+    # request and the write-ahead event records since the entry was
+    # fetched or last patched, what would the endpoint return *now*?
+    # Three answers:
     # the cached object itself (the events provably cannot affect it),
     # a rebuilt result (computed through the endpoint's own body, so it
     # is identical-by-construction to a drop-and-refetch at this
@@ -170,6 +173,18 @@ class BuiltinProviders:
         return [r.event for r in records if isinstance(r, UsageEventRecord)]
 
     @staticmethod
+    def _touches_listed(records, listed: set[str]) -> bool:
+        """Does a usage event or badge grant name a listed artifact?  Its
+        advisory ``fields`` snapshot (views, endorsed, ...) may change."""
+        for r in records:
+            if isinstance(r, UsageEventRecord):
+                if r.event.artifact_id in listed:
+                    return True
+            elif isinstance(r, BadgeEventRecord) and r.artifact_id in listed:
+                return True
+        return False
+
+    @staticmethod
     def _roster_replaced(records) -> bool:
         """Any non-monotonic membership record (e.g. ``set_team``)?"""
         return any(
@@ -182,33 +197,25 @@ class BuiltinProviders:
 
         A usage event can only affect the result if it was produced by
         the requested user (membership may change) or touches a listed
-        artifact (its advisory fields may change); anything else leaves
-        the cached result exactly what a refetch would produce.
+        artifact (its advisory fields may change, as a badge grant on it
+        may); anything else leaves the cached result exactly what a
+        refetch would produce.
         """
 
         def patch(request, cached, records):
-            events = self._usage_events(records)
-            if not events:
-                return cached
             user_id = request.input("user") or request.context.user_id
-            listed = set(cached.artifact_ids())
             if any(
-                e.user_id == user_id or e.artifact_id in listed
-                for e in events
-            ):
+                e.user_id == user_id for e in self._usage_events(records)
+            ) or self._touches_listed(records, set(cached.artifact_ids())):
                 return endpoint(request)
             return cached
 
         return patch
 
     def _patch_most_viewed(self, request, cached, records):
-        events = self._usage_events(records)
-        if not events:
-            return cached
-        listed = set(cached.artifact_ids())
         if any(
-            e.action == "view" or e.artifact_id in listed for e in events
-        ):
+            e.action == "view" for e in self._usage_events(records)
+        ) or self._touches_listed(records, set(cached.artifact_ids())):
             return self.most_viewed(request)
         return cached
 
@@ -221,25 +228,21 @@ class BuiltinProviders:
             # A new user/team can change reference resolution; the
             # rebuild reads live membership, same as a refetch.
             return self.team_popular(request)
-        events = self._usage_events(records)
-        if not events:
-            return cached
         if team is None:
             return cached  # unresolvable either way: result stays empty
         members = set(team.member_ids) | set(team.admin_ids)
-        listed = set(cached.artifact_ids())
         if any(
-            e.user_id in members or e.artifact_id in listed for e in events
-        ):
+            e.user_id in members for e in self._usage_events(records)
+        ) or self._touches_listed(records, set(cached.artifact_ids())):
             return self.team_popular(request)
         return cached
 
     def _patch_membership(self, endpoint: Endpoint) -> Callable:
         """Patcher for entities+membership endpoints (owned_by et al.).
 
-        Only membership records reach these (usage events never sweep
-        them); additions may change user/team reference resolution, so
-        they rebuild, while roster replacements decline.
+        These run only when the membership domain moved (usage events do
+        not touch them); additions may change user/team reference
+        resolution, so they rebuild, while roster replacements decline.
         """
 
         def patch(request, cached, records):
@@ -429,7 +432,7 @@ class BuiltinProviders:
             representation=Representation.CATEGORIES, categories=tuple(categories)
         )
 
-    @depends_on(DOMAIN_ENTITIES)
+    @depends_on(DOMAIN_ENTITIES, DOMAIN_BADGES)
     @reads_context()
     def badges(self, request: ProviderRequest) -> ProviderResult:
         """Artifacts grouped by badge (a categories overview)."""
@@ -442,7 +445,7 @@ class BuiltinProviders:
             representation=Representation.CATEGORIES, categories=tuple(categories)
         )
 
-    @depends_on(DOMAIN_ENTITIES)
+    @depends_on(DOMAIN_ENTITIES, DOMAIN_BADGES)
     @reads_context()
     def badged(self, request: ProviderRequest) -> ProviderResult:
         """Artifacts carrying a given badge (``badged: endorsed``)."""
@@ -452,7 +455,7 @@ class BuiltinProviders:
         ids = self.store.by_badge(badge.lower())
         return self._list(self._rank_by_views(ids), Representation.LIST)
 
-    @depends_on(DOMAIN_ENTITIES, DOMAIN_MEMBERSHIP)
+    @depends_on(DOMAIN_ENTITIES, DOMAIN_MEMBERSHIP, DOMAIN_BADGES)
     @reads_context()
     def badged_by(self, request: ProviderRequest) -> ProviderResult:
         """Artifacts with any badge granted by the given user."""

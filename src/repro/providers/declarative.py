@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.catalog.domains import DOMAIN_ENTITIES, DOMAIN_USAGE
+from repro.catalog.domains import DOMAIN_BADGES, DOMAIN_ENTITIES, DOMAIN_USAGE
 from repro.catalog.store import CatalogStore
 from repro.errors import SpecError
 from repro.providers.base import (
@@ -114,6 +114,12 @@ _USAGE_FIELDS = frozenset(
     {"views", "opens", "edits", "favorite", "unique_viewers", "recency"}
 )
 
+#: fields read from an artifact's badges; a badge grant bumps only the
+#: ``badges`` domain, which an ``entities`` declaration does not cover.
+_BADGE_FIELDS = frozenset(
+    {"badges", "badge_count", "endorsed", "certified", "deprecated"}
+)
+
 
 def _norm(value: Any) -> Any:
     return value.lower() if isinstance(value, str) else value
@@ -151,10 +157,13 @@ class RuleEndpoint:
             raise SpecError("a RuleEndpoint needs at least one rule")
         # Membership is exactly the set of predicate matches (results are
         # never truncated below it), so the declaration needs ``usage``
-        # only when a rule predicate reads a usage-derived field.
+        # or ``badges`` only when a rule predicate reads such a field.
         domains = {DOMAIN_ENTITIES}
-        if any(rule["field"] in _USAGE_FIELDS for rule in self.rules):
+        fields = {rule["field"] for rule in self.rules}
+        if fields & _USAGE_FIELDS:
             domains.add(DOMAIN_USAGE)
+        if fields & _BADGE_FIELDS:
+            domains.add(DOMAIN_BADGES)
         self.__metadata_domains__ = frozenset(domains)
 
     @staticmethod

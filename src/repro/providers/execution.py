@@ -15,12 +15,14 @@ naive reproduction scatters per call site:
 * **caching** — a TTL/LRU result cache keyed on those request keys,
   invalidated explicitly (:meth:`ExecutionEngine.invalidate`) and
   implicitly whenever the catalog mutates or the spec is swapped.
-  Invalidation is **dependency-aware**: the store versions each metadata
-  domain separately (:mod:`repro.catalog.domains`) and endpoints declare
-  the domains they read, so a usage event only drops results of
-  endpoints that depend on usage.  Endpoints with no declaration fall
-  back to invalidate-on-any-write — never less correct than the old
-  monolithic counter, just slower;
+  Validity is **per entry and dependency-aware**: each entry carries the
+  catalog stamp taken before its fetch, and a read checks only that
+  entry — kept when no domain its endpoint declares has moved (the store
+  versions each metadata domain separately, :mod:`repro.catalog.domains`),
+  patched from the write-ahead log when only patchable domains moved,
+  dropped otherwise.  Endpoints with no declaration fall back to
+  invalidate-on-any-write — never less correct than the old monolithic
+  counter, just slower;
 * **request-scoped memoisation** — :meth:`ExecutionEngine.scope` opens a
   memo so one logical operation (a search, an overview generation) never
   re-invokes an endpoint for the same key, even with the cache disabled;
@@ -45,8 +47,8 @@ naive reproduction scatters per call site:
   CLI's ``--stats`` flag / ``health`` / ``metrics`` subcommands and
   Prometheus exposition.  Every hot path additionally emits
   :mod:`repro.obs` trace spans (``engine.execute`` → ``engine.fetch`` →
-  ``provider.invoke``, plus batch and sweep spans) when a tracer
-  is installed; the default no-op tracer costs nothing.
+  ``provider.invoke``, plus the batch span) when a tracer is installed;
+  the default no-op tracer costs nothing.
 
 Configuration is a layered, frozen :class:`ExecutionPolicy`: global
 defaults (:meth:`ExecutionPolicy.defaults`), per-deployment tweaks
@@ -73,13 +75,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from dataclasses import replace as _dataclass_replace
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from repro.catalog.domains import (
     DOMAIN_LINEAGE,
     DOMAIN_MEMBERSHIP,
     DOMAIN_USAGE,
-    DOMAINS,
     coerce_domains,
 )
 from repro.catalog.events import EventLog, OpaqueEventRecord
@@ -158,7 +159,7 @@ _TENANT_FIELD = frozenset({"team_id"})
 
 #: Domains whose common mutations are monotonic (usage counters grow,
 #: lineage edges and members append) and therefore delta-patchable.
-#: Entities/text mutations edit payloads in place — always drop.
+#: Entities, text and badges mutations drop dependent entries.
 PATCHABLE_DOMAINS = frozenset(
     {DOMAIN_USAGE, DOMAIN_LINEAGE, DOMAIN_MEMBERSHIP}
 )
@@ -179,11 +180,11 @@ _COUNTER_FIELDS: tuple[tuple[str, str], ...] = (
     ("errors", "Fetches that ultimately raised."),
     ("retries", "Retry attempts beyond the first invocation."),
     ("cache_hits", "Fetches answered from the result cache."),
-    ("cache_misses", "Fetches that had to invoke (or join) a provider."),
+    ("cache_misses", "Fetches that had to invoke a provider."),
     ("dedups", "In-batch duplicates of a pending miss in execute_many."),
     ("truncations", "Provider results truncated to the declared limit."),
-    ("invalidations", "Cache entries dropped because a depended-on domain mutated."),
-    ("delta_patches", "Cache entries patched in place from write-ahead events."),
+    ("invalidations", "Cache entries found invalid when read, and dropped."),
+    ("delta_patches", "Cache entries patched from write-ahead events when read."),
     ("delta_fallbacks", "Patch attempts that fell back to drop-and-refetch."),
     ("estimates", "Cardinality estimates served without invoking the endpoint."),
     ("fetches_skipped", "Fetches the planner proved unnecessary."),
@@ -925,10 +926,29 @@ class CircuitBreaker:
         )
 
 
-#: A cache slot: (fresh_until, stale_until, result).  Entries past
-#: ``fresh_until`` but within ``stale_until`` are only servable through
-#: the stale-while-revalidate path, explicitly marked.
-_CacheEntry = tuple[float, float, ProviderResult]
+class _Stamp(NamedTuple):
+    """What a cached result is valid as of: the registry version, the
+    store's total and per-domain versions (``None`` for a store without
+    them), and the store's event-log offset (``None`` without a log)."""
+
+    registry: int
+    store: int
+    domains: "dict[str, int] | None"
+    offset: "int | None"
+
+
+@dataclass(slots=True)
+class _CacheEntry:
+    """One cache slot.  Entries past ``fresh_until`` but within
+    ``stale_until`` are only servable through the stale-while-revalidate
+    path, explicitly marked.  ``stamp`` is taken before the fetch and is
+    checked, and moved forward, each time the entry is read (see
+    :meth:`ExecutionEngine._revalidate`)."""
+
+    fresh_until: float
+    stale_until: float
+    result: ProviderResult
+    stamp: _Stamp
 
 
 class ExecutionEngine:
@@ -978,21 +998,6 @@ class ExecutionEngine:
         #: without touching the shared engine policy or other tenants.
         self._tenant_policies: dict[str, ExecutionPolicy] = {}
         self._cache: OrderedDict[RequestKey, _CacheEntry] = OrderedDict()
-        self._seen_store_version = store.version if store is not None else -1
-        self._seen_registry_version = registry.version
-        # Per-domain counters seen at the last sweep; None when the store
-        # predates domain versioning (duck-typed), forcing full flushes.
-        versions = getattr(store, "domain_versions", None)
-        self._seen_domain_versions: dict[str, int] | None = (
-            dict(versions) if isinstance(versions, dict) else None
-        )
-        # Write-ahead log cursor: each invalidation sweep drains the
-        # store's event records from here so patchable mutations *update*
-        # cached results instead of dropping them (docs/write_path.md).
-        events = getattr(store, "events", None)
-        self._seen_event_offset = (
-            events.offset if isinstance(events, EventLog) else 0
-        )
         coalesced = getattr(store, "coalesced_bumps", 0)
         self._seen_coalesced_bumps = (
             coalesced if isinstance(coalesced, int) else 0
@@ -1569,41 +1574,51 @@ class ExecutionEngine:
         if stack and key in stack[-1]:
             return stack[-1][key]
         with self._lock:
-            self._check_store_version()
             entry = self._cache.get(key)
             if entry is None:
                 return None
-            fresh_until, stale_until, result = entry
             now = self._timer()
-            if now >= stale_until:
+            if now >= entry.stale_until:
                 del self._cache[key]
                 return None
-            if now >= fresh_until:
+            if now >= entry.fresh_until:
                 # Expired but within the stale grace window: a miss for
-                # the fresh path, retained for stale-while-revalidate.
+                # the fresh path, retained for stale-while-revalidate
+                # (which checks it when it reads it).
+                return None
+            if not self._revalidate(key, entry):
                 return None
             self._cache.move_to_end(key)
-            return result
+            return entry.result
 
     def _lookup_stale(self, key: RequestKey) -> tuple[ProviderResult, float] | None:
-        """An expired-but-in-grace entry and its age past TTL, if any."""
+        """An expired-but-in-grace entry and its age past TTL, if any.
+
+        The entry is checked against the catalog like any other read: an
+        invalidated result is wrong, not merely old, so it is dropped
+        rather than served as stale.
+        """
         with self._lock:
             entry = self._cache.get(key)
             if entry is None:
                 return None
-            fresh_until, stale_until, result = entry
             now = self._timer()
-            if now >= stale_until:
+            if now >= entry.stale_until:
                 del self._cache[key]
                 return None
-            return (result, max(0.0, now - fresh_until))
+            if not self._revalidate(key, entry):
+                return None
+            return (entry.result, max(0.0, now - entry.fresh_until))
 
     def _remember(
-        self,
-        key: RequestKey,
-        result: ProviderResult,
-        stamp: "tuple | None" = None,
+        self, key: RequestKey, result: ProviderResult, stamp: _Stamp
     ) -> None:
+        """Cache *result* under the stamp taken before its fetch.
+
+        A write that landed while the fetch ran is caught when the entry
+        is read: the stamp predates it, so the read patches or drops the
+        entry if the write touched a domain the endpoint depends on.
+        """
         stack = self._memo_stack()
         if stack:
             stack[-1][key] = result
@@ -1611,159 +1626,120 @@ class ExecutionEngine:
         if policy.cache_ttl_s <= 0:
             return
         with self._lock:
-            self._check_store_version()
-            if (
-                stamp is not None
-                and stamp != self._version_stamp()
-                and not self._cacheable_despite_mutation(key[0], stamp)
-            ):
-                # The catalog or registry mutated while this fetch was in
-                # flight in a way that may affect this endpoint: the
-                # result may predate the mutation, and caching it would
-                # resurrect data the sweep just invalidated.  The caller
-                # still gets it (and the request-scoped memo holds it by
-                # design); it just never enters the shared cache.
-                return
             now = self._timer()
             fresh_until = now + policy.cache_ttl_s
             stale_until = fresh_until + (
                 policy.stale_grace_s if policy.serve_stale else 0.0
             )
-            self._cache[key] = (fresh_until, stale_until, result)
+            self._cache[key] = _CacheEntry(fresh_until, stale_until, result, stamp)
             self._cache.move_to_end(key)
             while len(self._cache) > self._policy.cache.max_entries:
                 self._cache.popitem(last=False)
 
-    def _check_store_version(self) -> None:
-        """Sweep the cache when the catalog or registry mutated (lock held).
+    def _stamp(self) -> _Stamp:
+        """The registry and catalog versions as of now.
 
-        Registry mutation (an endpoint swapped or removed) still clears
-        everything — any entry may now belong to a different callable.
-        Catalog mutation is dependency-aware: only entries whose endpoint
-        depends on a mutated domain are dropped; endpoints without any
-        declaration are dropped on every write (conservative fallback).
+        Taken before an endpoint is invoked, so a write racing the fetch
+        is newer than the stamp its result is cached under.  The store's
+        total version is read before its domain counters and those before
+        the log offset: a store bumps domains before the total and logs a
+        record before either, so every write the total counts shows in
+        the counters, and every bump the counters show has its record
+        before the offset.
         """
         registry_version = self.registry.version
-        if registry_version != self._seen_registry_version:
-            self._cache.clear()
-            self._seen_registry_version = registry_version
-        if self.store is None:
-            return
-        version = self.store.version
-        if version == self._seen_store_version:
-            return
-        self._seen_store_version = version
+        store = self.store
+        if store is None:
+            return _Stamp(registry_version, -1, None, None)
+        version = store.version
+        domains = getattr(store, "domain_versions", None)
+        log = getattr(store, "events", None)
         self._mirror_coalesced_bumps()
-        current = getattr(self.store, "domain_versions", None)
-        if not isinstance(current, dict) or self._seen_domain_versions is None:
-            # Store without domain versioning: monolithic behaviour.
-            self._cache.clear()
-            return
-        changed = {
+        return _Stamp(
+            registry_version,
+            version,
+            domains if isinstance(domains, dict) else None,
+            log.offset if isinstance(log, EventLog) else None,
+        )
+
+    def _revalidate(self, key: RequestKey, entry: _CacheEntry) -> bool:
+        """Bring one entry up to date with the catalog, or drop it.
+
+        Returns whether the entry may be served (lock held):
+
+        * registry or store unchanged since the entry's stamp → serve;
+        * only domains outside the endpoint's dependencies moved →
+          restamp and serve.  The restamp keeps the entry's log offset,
+          so a later patch still sees those records;
+        * only patchable domains moved → hand the endpoint's patcher the
+          log records since the entry's offset; serve what it returns;
+        * anything else — a hard domain, an opaque record on a domain the
+          endpoint reads, a truncated log, an undeclared endpoint, a
+          declining or failing patcher, a registry swap — drops the
+          entry, and the read is a miss.
+        """
+        stamp = entry.stamp
+        if stamp.registry != self.registry.version:
+            return self._drop(key)
+        store = self.store
+        if store is None or store.version == stamp.store:
+            return True
+        # Keep the registry version checked above: a swap racing this
+        # read must still show on the entry's next read.
+        current = self._stamp()._replace(registry=stamp.registry)
+        if stamp.domains is None or current.domains is None:
+            return self._drop(key)
+        endpoint = key[0]
+        deps = self.dependencies_for(endpoint)
+        if deps is None:
+            return self._drop(key)
+        moved = {
             domain
-            for domain, counter in current.items()
-            if self._seen_domain_versions.get(domain) != counter
+            for domain in deps
+            if current.domains.get(domain) != stamp.domains.get(domain)
         }
-        self._seen_domain_versions = dict(current)
-        if not changed:
-            return
-        self._apply_domain_changes(changed)
+        if not moved:
+            entry.stamp = current._replace(offset=stamp.offset)
+            return True
+        if moved - PATCHABLE_DOMAINS or stamp.offset is None:
+            return self._drop(key)
+        patcher = self._patcher_for(endpoint)
+        if patcher is None:
+            return self._drop(key)
+        records, next_offset, truncated = store.events.since(stamp.offset)
+        if truncated or any(
+            isinstance(r, OpaqueEventRecord) and r.domain in deps
+            for r in records
+        ):
+            return self._drop(key)
+        try:
+            patched = patcher(_request_from_key(key), entry.result, records)
+        except Exception:
+            patched = None
+        if patched is None:
+            self.stats.count("delta_fallbacks", endpoint)
+            return self._drop(key)
+        entry.result = patched
+        entry.stamp = current._replace(offset=next_offset)
+        self.stats.count("delta_patches", endpoint)
+        return True
+
+    def _drop(self, key: RequestKey) -> bool:
+        """Drop an entry found invalid on read; returns False (lock held)."""
+        del self._cache[key]
+        self.stats.count("invalidations", key[0])
+        return False
 
     def _mirror_coalesced_bumps(self) -> None:
-        """Fold the store's saved-bump counter into the stats (lock held)."""
+        """Fold the store's saved-bump counter into the stats."""
         total = getattr(self.store, "coalesced_bumps", 0)
         if isinstance(total, int) and total > self._seen_coalesced_bumps:
-            self.stats.count(
-                "coalesced_bumps", "", total - self._seen_coalesced_bumps
-            )
-            self._seen_coalesced_bumps = total
-
-    def _apply_domain_changes(self, changed: set[str]) -> None:
-        """Patch or drop cache entries after catalog mutations (lock held).
-
-        The store's write-ahead event log (:mod:`repro.catalog.events`)
-        is drained from the last sweep's offset.  Entries whose endpoint
-        depends only on *patchable* changed domains — the monotonic
-        common cases: usage counters, lineage edges, membership — are
-        handed to the endpoint's registered patcher together with those
-        records, and stay cached (updated in place, original expiry).
-        Everything else, and every patcher decline or failure, takes the
-        PR 2 drop-and-refetch path, so this is never less correct than
-        dropping — only cheaper.
-
-        Domains seen in drained records are treated as changed even when
-        their counter has not moved yet: a mutator appends its record
-        *before* bumping, so a sweep triggered by a concurrent write may
-        observe records slightly ahead of the counters.  Patching from
-        them early is sound because patchers rebuild from live
-        aggregates (re-applying an event is a no-op).
-        """
-        with self.tracer.span("engine.sweep") as sp:
-            log = getattr(self.store, "events", None)
-            records: tuple = ()
-            patchable: set[str] = set()
-            if isinstance(log, EventLog):
-                drained, next_offset, truncated = log.since(
-                    self._seen_event_offset
-                )
-                self._seen_event_offset = next_offset
-                if truncated:
-                    # Events fell off the bounded log before this sweep saw
-                    # them — no domain's deltas are trustworthy any more.
-                    changed = set(DOMAINS)
-                else:
-                    records = drained
-                    changed = changed | {r.domain for r in drained}
-                    opaque = {
-                        r.domain
-                        for r in drained
-                        if isinstance(r, OpaqueEventRecord)
-                    }
-                    patchable = (changed & PATCHABLE_DOMAINS) - opaque
-            hard = changed - patchable
-            dependencies: dict[str, frozenset[str] | None] = {}
-            patchers: dict[str, ResultPatcher | None] = {}
-            patched_n = dropped_n = 0
-            for key, entry in list(self._cache.items()):
-                endpoint = key[0]
-                if endpoint not in dependencies:
-                    dependencies[endpoint] = self.dependencies_for(endpoint)
-                deps = dependencies[endpoint]
-                if deps is None or deps & hard:
-                    del self._cache[key]
-                    self.stats.count("invalidations", endpoint)
-                    dropped_n += 1
-                    continue
-                if not (deps & patchable):
-                    continue  # unaffected by this sweep
-                if endpoint not in patchers:
-                    patchers[endpoint] = self._patcher_for(endpoint)
-                patcher = patchers[endpoint]
-                if patcher is None:
-                    del self._cache[key]
-                    self.stats.count("invalidations", endpoint)
-                    dropped_n += 1
-                    continue
-                fresh_until, stale_until, result = entry
-                try:
-                    patched = patcher(_request_from_key(key), result, records)
-                except Exception:
-                    patched = None
-                if patched is None:
-                    del self._cache[key]
-                    self.stats.count("invalidations", endpoint)
-                    self.stats.count("delta_fallbacks", endpoint)
-                    dropped_n += 1
-                    continue
-                if patched is not result:
-                    self._cache[key] = (fresh_until, stale_until, patched)
-                self.stats.count("delta_patches", endpoint)
-                patched_n += 1
-            if sp:
-                sp.set("domains", ",".join(sorted(changed)))
-                sp.set("records", len(records))
-                sp.set("patched", patched_n)
-                sp.set("dropped", dropped_n)
+            with self._lock:
+                if total > self._seen_coalesced_bumps:
+                    self.stats.count(
+                        "coalesced_bumps", "", total - self._seen_coalesced_bumps
+                    )
+                    self._seen_coalesced_bumps = total
 
     def _patcher_for(self, endpoint: str) -> ResultPatcher | None:
         getter = getattr(self.registry, "patcher", None)
@@ -1844,7 +1820,7 @@ class ExecutionEngine:
                         status=FetchStatus.SKIPPED,
                         reason="circuit open",
                     )
-            stamp = self._version_stamp()
+            stamp = self._stamp()
             stack = self._deadline_stack()
             stack.append(deadline)
             try:
@@ -1862,49 +1838,6 @@ class ExecutionEngine:
             if sp:
                 sp.set("outcome", "ok")
             return FetchOutcome(endpoint, result=result)
-
-    def _version_stamp(self) -> tuple:
-        """(registry version, store version, domain counters) as of now —
-        taken *before* invoking an endpoint, so a result computed against
-        pre-mutation state is never cached as fresh after the mutation's
-        sweep (see :meth:`_remember`).  The per-domain counters let
-        :meth:`_cacheable_despite_mutation` admit results whose endpoint
-        provably doesn't read any mutated domain — without them, a
-        sustained write stream to *any* domain would void every insert.
-        """
-        if self.store is None:
-            return (self.registry.version, -1, None)
-        versions = getattr(self.store, "domain_versions", None)
-        domains = (
-            tuple(sorted(versions.items()))
-            if isinstance(versions, dict)
-            else None
-        )
-        return (self.registry.version, self.store.version, domains)
-
-    def _cacheable_despite_mutation(
-        self, endpoint: str, stamp: tuple
-    ) -> bool:
-        """True when a mid-flight mutation provably cannot have affected
-        *endpoint*: the registry is unchanged and every domain counter
-        that moved since *stamp* lies outside the endpoint's declared
-        dependency set (lock held)."""
-        current = self._version_stamp()
-        if stamp[0] != current[0]:
-            return False  # endpoint may have been swapped mid-flight
-        old_domains, new_domains = stamp[2], current[2]
-        if old_domains is None or new_domains is None:
-            return False
-        deps = self.dependencies_for(endpoint)
-        if deps is None:
-            return False  # undeclared: conservative, as everywhere else
-        old = dict(old_domains)
-        changed = {
-            domain
-            for domain, counter in new_domains
-            if old.get(domain) != counter
-        }
-        return not (deps & changed)
 
     def _stale_outcome(
         self,

@@ -22,6 +22,7 @@ Providers:
 from __future__ import annotations
 
 from repro.catalog.domains import (
+    DOMAIN_BADGES,
     DOMAIN_ENTITIES,
     DOMAIN_LINEAGE,
     DOMAIN_USAGE,
@@ -82,7 +83,7 @@ class ExtendedProviders:
         )
         return ProviderResult(representation=Representation.LIST, items=items)
 
-    @depends_on(DOMAIN_USAGE, DOMAIN_ENTITIES)
+    @depends_on(DOMAIN_USAGE, DOMAIN_ENTITIES, DOMAIN_BADGES)
     @reads_context("limit")
     def stale(self, request: ProviderRequest) -> ProviderResult:
         """Artifacts unviewed for STALE_AFTER_DAYS or badged deprecated.
@@ -202,7 +203,7 @@ def extended_spec() -> HumboldtSpec:
         title="Stale Data",
         description="Artifacts unviewed for 90+ days or badged deprecated.",
         visibility=Visibility(overview=True, exploration=False, search=True),
-        dependencies=frozenset({DOMAIN_USAGE, DOMAIN_ENTITIES}),
+        dependencies=frozenset({DOMAIN_USAGE, DOMAIN_ENTITIES, DOMAIN_BADGES}),
     ))
     spec = spec.with_provider(ProviderSpec(
         name="has_column",

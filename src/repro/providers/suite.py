@@ -109,7 +109,7 @@ def default_spec() -> HumboldtSpec:
             description="All artifacts grouped by badge.",
             visibility=Visibility(overview=True, exploration=False,
                                   search=False),
-            dependencies=("entities",),
+            dependencies=("entities", "badges"),
         )
         .provider(
             "badged", "catalog://badged", "list",
@@ -119,7 +119,7 @@ def default_spec() -> HumboldtSpec:
             inputs=[("badge", "badge", True)],
             visibility=Visibility(overview=False, exploration=True,
                                   search=True),
-            dependencies=("entities",),
+            dependencies=("entities", "badges"),
         )
         .provider(
             "badged_by", "catalog://badged_by", "list",
@@ -129,7 +129,7 @@ def default_spec() -> HumboldtSpec:
             inputs=[("user", "user", True)],
             visibility=Visibility(overview=False, exploration=True,
                                   search=True),
-            dependencies=("entities", "membership"),
+            dependencies=("entities", "membership", "badges"),
         )
         .provider(
             "tagged", "catalog://tagged", "list",

@@ -19,11 +19,16 @@ from repro.util.clock import DAY, SimulationClock
 from repro.workbook.app import WorkbookApp
 
 
-def build_tiny_store() -> CatalogStore:
-    """Four users, two teams, six artifacts with known metadata."""
-    clock = SimulationClock()
-    clock.advance(days=100)
-    store = CatalogStore(clock=clock)
+def build_tiny_store(store: CatalogStore | None = None) -> CatalogStore:
+    """Four users, two teams, six artifacts with known metadata.
+
+    Seeds *store* when given (an empty store whose clock is 100 days past
+    its epoch, e.g. a fresh sqlite catalog); else a new in-memory one.
+    """
+    if store is None:
+        clock = SimulationClock()
+        clock.advance(days=100)
+        store = CatalogStore(clock=clock)
     store.add_user(User(id="u-ann", name="Ann Lee", role="analyst",
                         team_ids=("t-1",)))
     store.add_user(User(id="u-bob", name="Bob Ray", role="manager",

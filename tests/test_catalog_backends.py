@@ -129,9 +129,31 @@ class TestConformance:
         assert after["entities"] == before["entities"]
         store.grant_badge("a2", "golden", "u1")
         bumped = store.domain_versions
-        assert bumped["entities"] == after["entities"] + 1
-        assert bumped["text"] == after["text"] + 1
+        # A badge grant is a badges-only write: badges are in neither the
+        # searchable text nor the artifact's other annotations.
+        assert bumped["badges"] == after["badges"] + 1
+        assert bumped["entities"] == after["entities"]
+        assert bumped["text"] == after["text"]
         assert bumped["usage"] == after["usage"]
+
+    def test_bump_moves_domain_counters_before_the_total(self, store):
+        """A reader that sees the new total must find the domain counters
+        it covers already moved: the engine's cache trusts an unchanged
+        total to mean no write finished since an entry's stamp."""
+        seed_store(store)
+        backend = store._backend
+        totals_seen = []
+
+        class Spy(dict):
+            def __setitem__(self, key, value):
+                totals_seen.append(backend.version())
+                super().__setitem__(key, value)
+
+        backend._versions = Spy(backend._versions)
+        before = store.version
+        store.record("a1", "u1", "view")
+        assert totals_seen == [before]
+        assert store.version == before + 1
 
     def test_lineage_writes_bump_lineage_domain(self, store):
         seed_store(store)

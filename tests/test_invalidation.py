@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.catalog.domains import (
     ALL_DOMAINS,
+    DOMAIN_BADGES,
     DOMAIN_ENTITIES,
     DOMAIN_LINEAGE,
     DOMAIN_MEMBERSHIP,
@@ -65,7 +66,7 @@ MUTATIONS = {
     ),
     "grant_badge": (
         lambda store: store.grant_badge("t-orders", "endorsed", "u-ann"),
-        {DOMAIN_ENTITIES, DOMAIN_TEXT},
+        {DOMAIN_BADGES},
     ),
     "add_user": (
         lambda store: store.add_user(User(id="u-new", name="New Person")),
@@ -193,6 +194,7 @@ ENDPOINT_DEPS = {
     "x://lineage": frozenset({DOMAIN_LINEAGE}),
     "x://membership": frozenset({DOMAIN_MEMBERSHIP}),
     "x://text": frozenset({DOMAIN_TEXT}),
+    "x://badges": frozenset({DOMAIN_BADGES}),
     "x://mixed": frozenset({DOMAIN_USAGE, DOMAIN_MEMBERSHIP}),
     "x://undeclared": None,
 }
@@ -245,10 +247,14 @@ class TestInvalidationMatrix:
         for uri in ENDPOINT_DEPS:
             engine.fetch(uri, ProviderRequest())
         tiny_store.record("t-orders", "u-ann", "view")
-        engine.fetch("x://usage", ProviderRequest())
-        # usage, mixed and the undeclared endpoint were dropped.
+        # Entries are checked when read, so nothing is dropped yet.
+        assert engine.stats.total("invalidations") == 0
+        for uri in ENDPOINT_DEPS:
+            engine.fetch(uri, ProviderRequest())
+        # usage, mixed and the undeclared endpoint were dropped, once each.
         assert engine.stats.total("invalidations") == 3
-        assert engine.stats.endpoint("x://usage").invalidations == 1
+        for uri in ("x://usage", "x://mixed", "x://undeclared"):
+            assert engine.stats.endpoint(uri).invalidations == 1, uri
         assert engine.stats.endpoint("x://entities").invalidations == 0
 
 
@@ -365,6 +371,73 @@ class TestMembershipSurvivesUsageWrites:
                 ).artifact_ids()
             assert after.artifact_ids() == expected
             assert "t-web" in after.artifact_ids()
+
+
+class TestBadgeDeclarations:
+    """A badge grant bumps only ``badges``: endpoints whose membership
+    reads badges must declare it, and only those refetch after a grant."""
+
+    @pytest.mark.parametrize(
+        "uri", ["catalog://badges", "catalog://badged",
+                "catalog://badged_by", "catalog://stale"],
+    )
+    def test_badge_reading_endpoints_declare_badges(self, tiny_store, uri):
+        from repro.providers.builtin import (
+            BuiltinProviders,
+            install_builtin_endpoints,
+        )
+        from repro.providers.extended import (
+            ExtendedProviders,
+            extended_spec,
+            install_extended_endpoints,
+        )
+
+        registry = EndpointRegistry()
+        install_builtin_endpoints(registry, BuiltinProviders(tiny_store))
+        install_extended_endpoints(registry, ExtendedProviders(tiny_store))
+        assert DOMAIN_BADGES in registry.dependencies(uri)
+        (spec,) = [p for p in extended_spec().providers if p.endpoint == uri]
+        assert DOMAIN_BADGES in spec.dependencies
+
+    @pytest.mark.parametrize(
+        "field", ["badges", "badge_count", "endorsed", "certified",
+                  "deprecated"],
+    )
+    def test_rule_reading_a_badge_field_declares_badges(self, tiny_store, field):
+        endpoint = RuleEndpoint(
+            tiny_store, [{"field": field, "op": "gte", "value": 1}]
+        )
+        assert declared_dependencies(endpoint) == frozenset(
+            {DOMAIN_ENTITIES, DOMAIN_BADGES}
+        )
+
+    @pytest.mark.parametrize("field", ["type", "tags", "views"])
+    def test_rule_not_reading_badges_does_not_declare_them(
+        self, tiny_store, field
+    ):
+        endpoint = RuleEndpoint(
+            tiny_store, [{"field": field, "op": "eq", "value": "table"}]
+        )
+        assert DOMAIN_BADGES not in declared_dependencies(endpoint)
+
+    def test_grant_refetches_badge_rule_and_keeps_type_rule(self):
+        store = build_tiny_store()
+        registry = EndpointRegistry()
+        registry.register("x://endorsed", RuleEndpoint(
+            store, [{"field": "endorsed", "op": "gte", "value": 1}]
+        ))
+        registry.register("x://tables", RuleEndpoint(
+            store, [{"field": "type", "op": "eq", "value": "table"}]
+        ))
+        engine = ExecutionEngine(registry, store=store)
+        for uri in ("x://endorsed", "x://tables"):
+            engine.fetch(uri, ProviderRequest())
+        store.grant_badge("t-web", "endorsed", "u-ann")
+        endorsed = engine.fetch("x://endorsed", ProviderRequest())
+        engine.fetch("x://tables", ProviderRequest())
+        assert "t-web" in endorsed.artifact_ids()
+        assert engine.stats.endpoint("x://endorsed").calls == 2
+        assert engine.stats.endpoint("x://tables").calls == 1
 
 
 class TestOverlayLifecycle:

@@ -5,7 +5,7 @@ addressing, bounded truncation), the coalescing
 :class:`~repro.catalog.events.EventStream` and
 :meth:`~repro.catalog.store.CatalogStore.record_events` (one version
 bump per batch), the typed records every store mutator appends, the
-execution engine's delta-patch sweep (patch / decline / hard-drop and
+execution engine's read-time delta patching (patch / decline / hard-drop and
 the ``delta_patches`` / ``delta_fallbacks`` / ``coalesced_bumps``
 counters), incremental sorted-id and usage-snapshot maintenance, the
 sqlite write-ahead journal mirror, and — the headline guarantee,
@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.domains import (
+    DOMAIN_BADGES,
     DOMAIN_ENTITIES,
     DOMAIN_LINEAGE,
     DOMAIN_MEMBERSHIP,
@@ -30,6 +31,7 @@ from repro.catalog.domains import (
     DOMAIN_USAGE,
 )
 from repro.catalog.events import (
+    BadgeEventRecord,
     EntitiesEventRecord,
     EventLog,
     EventStream,
@@ -295,7 +297,8 @@ class TestMutatorRecords:
 
         store.grant_badge("a0", "endorsed", "u1")
         record = self._last(store)
-        assert record == EntitiesEventRecord("a0", added=False)
+        assert record == BadgeEventRecord("a0", "endorsed", "u1")
+        assert record.domain == DOMAIN_BADGES
 
         store.add_user(User(id="u9", name="New"))
         assert self._last(store) == MembershipEventRecord("user", "u9")
@@ -410,7 +413,7 @@ class TestIncrementalUsageSnapshot:
         assert got == [1.0]
 
 
-# -- the engine's delta-patch sweep -----------------------------------------
+# -- the engine's read-time delta patching ----------------------------------
 
 
 def _req(user="u1", team="t1", **inputs):
@@ -478,6 +481,26 @@ class TestEngineDeltaPatching:
         totals = engine.stats.snapshot()["totals"]
         assert totals["delta_patches"] == 0
         assert totals["invalidations"] >= 1
+
+    def test_badge_grant_reaches_patcher_after_restamp(self):
+        """A badge grant leaves ``recents`` (usage, entities) cached, with
+        a stale advisory ``endorsed`` field.  The read that keeps it must
+        not move the entry's log offset: the next patch still sees the
+        grant and rebuilds, as a drop-and-refetch engine would."""
+        store = _seeded_store()
+        store.record("a0", "u1", "view")
+        registry, engine = _engine(store)
+        request = ProviderRequest(
+            inputs={"user": "u1"}, context=RequestContext(user_id="u1")
+        )
+        engine.execute("catalog://recents", request)
+        store.grant_badge("a0", "endorsed", "u1")
+        engine.execute("catalog://recents", request)  # restamped hit
+        assert engine.stats.total("calls") == 1
+        store.record("a3", "u3", "view")  # unrelated to u1's recents
+        served = engine.execute("catalog://recents", request).result
+        assert served == registry.resolve("catalog://recents")(request)
+        assert served.items[0].fields["endorsed"] == 1.0
 
     def test_lineage_patch_keeps_unrelated_entry(self):
         store = _seeded_store()
