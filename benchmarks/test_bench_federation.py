@@ -156,7 +156,8 @@ def _run_slow_member(store, degradation_on: bool) -> dict:
     policy = ExecutionPolicy.defaults().replace(attempts=ATTEMPTS)
     uri = member_search_endpoint_uri(SLOW_MEMBER)
     if degradation_on:
-        policy = policy.for_endpoint(uri, breaker_failure_threshold=THRESHOLD)
+        # Engine-wide threshold; only the slow member ever fails.
+        policy = policy.replace(breaker_failure_threshold=THRESHOLD)
     else:
         policy = policy.replace(breaker_enabled=False)
     federation, _ = federate(store, PARTS, policy=policy, clock=clock)

@@ -7,8 +7,8 @@ query mix plus catalog writes — from 64 worker threads over one shared
 latency (a remote metadata service) and the engine's fetch pool is held
 at 4 workers, so provider capacity is the scarce resource it is in
 production.  Each tenant team carries its own customization (a hidden
-overview provider) and alternating teams a policy overlay; the harness
-verifies per-op that neither leaks across tenants.
+overview provider); the harness verifies per-op that no hide leaks
+across tenants.
 
 The run must end with zero errors, zero degradation errors, isolation
 checks made and zero cross-tenant leaks, and its report must carry the
@@ -103,8 +103,8 @@ def test_bench_load_report():
         f"{row['isolation']['violations']:>6}",
         f"\n{row['sessions']} sessions x {row['concurrency']} threads, "
         f"{row['provider_latency_ms']:.0f}ms injected provider latency, "
-        f"Zipf-skewed users+queries, per-tenant customizations and policy "
-        f"overlays, seed {row['seed']}",
+        f"Zipf-skewed users+queries, per-tenant customizations, "
+        f"seed {row['seed']}",
     ]
     write_result(
         "BENCH_load",

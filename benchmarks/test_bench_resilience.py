@@ -74,9 +74,8 @@ def _evaluator(store, breaker_on: bool):
     registry.register(BROKEN, broken, replace=True)
     policy = ExecutionPolicy.defaults().replace(attempts=ATTEMPTS)
     if breaker_on:
-        policy = policy.for_endpoint(
-            BROKEN, breaker_failure_threshold=THRESHOLD
-        )
+        # Engine-wide threshold; only BROKEN ever fails.
+        policy = policy.replace(breaker_failure_threshold=THRESHOLD)
     else:
         policy = policy.replace(breaker_enabled=False)
     engine = ExecutionEngine(registry, store=store, policy=policy, clock=clock)

@@ -4,10 +4,9 @@ Drives a deterministic workload (see :mod:`repro.load.workload`) over a
 shared :class:`~repro.workbook.app.WorkbookApp` from a thread pool —
 many simulated sessions in flight at once, the serving shape every
 single-request bench so far has ignored.  Each tenant (team) gets its
-own customization (a hidden overview provider) and, for alternating
-teams, a per-tenant policy overlay, so the run continuously exercises
-the engine's isolation guarantees while hammering its cache and breaker
-paths.
+own customization (a hidden overview provider), so the run continuously
+exercises tenant isolation while hammering the engine's cache and
+breaker paths.
 
 The harness verifies isolation *inline*: every overview op checks that
 the tenant's own hidden provider is absent and that no *other* tenant's
@@ -228,8 +227,7 @@ class LoadHarness:
         self._isolation_checks = 0
         self._isolation_violations = 0
         # Tenant setup: each team hides a different overview provider
-        # (rotating), and alternating teams get their own policy overlay
-        # — both must stay invisible to every other tenant.
+        # (rotating), which must stay invisible to every other tenant.
         self._hidden_by_team: dict[str, str] = {}
         overview = [p.name for p in self.app.spec.visible_in("overview")]
         teams = sorted(t.id for t in store.teams())
@@ -239,10 +237,6 @@ class LoadHarness:
             hidden = overview[index % len(overview)]
             self.app.customization.team_layer(team_id).hide(hidden)
             self._hidden_by_team[team_id] = hidden
-            if index % 2 == 1:
-                self.engine.set_tenant_policy(
-                    team_id, policy.replace(attempts=2)
-                )
 
     # -- session driving ---------------------------------------------------
 

@@ -37,7 +37,6 @@ from repro.providers.execution import (
     CachePolicy,
     Deadline,
     DeadlinePolicy,
-    EndpointPolicy,
     ExecutionEngine,
     ExecutionPolicy,
     ExecutionStats,
@@ -59,7 +58,6 @@ __all__ = [
     "Deadline",
     "DeadlinePolicy",
     "EmbeddingPoint",
-    "EndpointPolicy",
     "EndpointRegistry",
     "ExecutionEngine",
     "ExecutionPolicy",

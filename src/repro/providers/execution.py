@@ -50,18 +50,12 @@ naive reproduction scatters per call site:
   ``provider.invoke``, plus the batch span) when a tracer is installed;
   the default no-op tracer costs nothing.
 
-Configuration is a layered, frozen :class:`ExecutionPolicy`: global
-defaults (:meth:`ExecutionPolicy.defaults`), per-deployment tweaks
-(:meth:`ExecutionPolicy.replace`) and per-endpoint overrides
-(:meth:`ExecutionPolicy.for_endpoint`), resolved to a flat
-:class:`EndpointPolicy` per endpoint at fetch time.  Fetches uniformly
-return a :class:`FetchOutcome` envelope (ok | error | stale | skipped);
+Configuration is one frozen, engine-wide :class:`ExecutionPolicy`:
+global defaults (:meth:`ExecutionPolicy.defaults`) and per-deployment
+tweaks (:meth:`ExecutionPolicy.replace`).  Fetches uniformly return a
+:class:`FetchOutcome` envelope (ok | error | stale | skipped);
 :meth:`ExecutionEngine.fetch` remains as a raise-through compatibility
-shim.
-
-The registry stays pure name→callable resolution; this module is the seam
-future scaling work (sharding, async backends, remote endpoints) plugs
-into.
+shim.  The registry stays pure name→callable resolution.
 """
 
 from __future__ import annotations
@@ -94,8 +88,6 @@ from repro.providers.base import (
     ProviderRequest,
     ProviderResult,
     RequestContext,
-    ResultPatcher,
-    declared_estimator,
 )
 from repro.providers.faults import is_transient
 from repro.providers.registry import EndpointRegistry
@@ -150,11 +142,6 @@ def _request_from_key(key: RequestKey) -> ProviderRequest:
             user_id=key[2], team_id=key[3], limit=key[4]
         ),
     )
-
-
-#: Added to an endpoint's declared key fields when the requesting team has
-#: a tenant policy overlay, so the overlay's cache knobs keep a partition.
-_TENANT_FIELD = frozenset({"team_id"})
 
 
 #: Domains whose common mutations are monotonic (usage counters grow,
@@ -483,31 +470,8 @@ class DeadlinePolicy:
     default_budget_ms: float = 0.0
 
 
-@dataclass(frozen=True)
-class EndpointPolicy:
-    """The flat, fully-resolved policy one fetch runs under.
-
-    Produced by :meth:`ExecutionPolicy.effective`; engines memoise one
-    per endpoint.  Only per-endpoint-overridable knobs appear here —
-    engine-wide settings (``max_workers``, ``cache.max_entries``, the
-    default deadline budget) stay on :class:`ExecutionPolicy`.
-    """
-
-    attempts: int = 1
-    backoff_base_ms: float = 25.0
-    backoff_multiplier: float = 2.0
-    backoff_jitter: float = 0.0
-    cache_ttl_s: float = 300.0
-    serve_stale: bool = True
-    stale_grace_s: float = 900.0
-    breaker_enabled: bool = True
-    breaker_failure_threshold: int = 5
-    breaker_reset_timeout_s: float = 30.0
-    breaker_half_open_max_calls: int = 1
-
-
-#: Legacy flat knob -> (policy group, field) for the compatibility shim
-#: and for :meth:`ExecutionPolicy.replace`'s flat spelling.
+#: Flat knob -> (policy group, field): the flat spelling
+#: :meth:`ExecutionPolicy.replace` accepts next to whole groups.
 _FLAT_KNOBS: dict[str, tuple[str, str]] = {
     "attempts": ("retry", "attempts"),
     "backoff_base_ms": ("retry", "backoff_base_ms"),
@@ -524,110 +488,27 @@ _FLAT_KNOBS: dict[str, tuple[str, str]] = {
     "deadline_budget_ms": ("deadline", "default_budget_ms"),
 }
 
-#: Knobs that may differ per endpoint (the fields of EndpointPolicy).
-_ENDPOINT_KNOBS: frozenset[str] = frozenset(
-    {
-        "attempts",
-        "backoff_base_ms",
-        "backoff_multiplier",
-        "backoff_jitter",
-        "cache_ttl_s",
-        "serve_stale",
-        "stale_grace_s",
-        "breaker_enabled",
-        "breaker_failure_threshold",
-        "breaker_reset_timeout_s",
-        "breaker_half_open_max_calls",
-    }
-)
 
-#: Frozen per-endpoint overrides: (endpoint, ((knob, value), ...)) pairs,
-#: sorted for stable equality/hashing.
-OverrideMap = tuple[tuple[str, tuple[tuple[str, object], ...]], ...]
-
-
-def _freeze_overrides(
-    overrides: "OverrideMap | dict[str, dict[str, object]]",
-) -> OverrideMap:
-    if isinstance(overrides, dict):
-        items = ((name, tuple(sorted(ov.items()))) for name, ov in overrides.items())
-    else:
-        items = ((name, tuple(sorted(dict(ov).items()))) for name, ov in overrides)
-    return tuple(sorted((name, ov) for name, ov in items if ov))
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ExecutionPolicy:
-    """Layered, immutable engine configuration.
-
-    The canonical shape is four frozen policy groups plus engine-wide
-    settings::
+    """Immutable engine configuration: four policy groups plus the
+    fan-out width, each applying to every endpoint and every caller::
 
         policy = ExecutionPolicy.defaults()
         policy = policy.replace(attempts=3, cache_ttl_s=60.0)
-        policy = policy.for_endpoint("catalog://lineage",
-                                     breaker_failure_threshold=2)
-        flat = policy.effective("catalog://lineage")  # -> EndpointPolicy
 
     ``replace`` accepts whole groups (``retry=RetryPolicy(...)``) or the
-    flat knob spellings of :data:`_FLAT_KNOBS`; ``for_endpoint`` layers
-    per-endpoint overrides on top of the globals.  Every method returns a
-    new policy — instances are frozen and safely shareable.
-
-    **Removed:** the pre-redesign flat constructor
-    (``ExecutionPolicy(attempts=3, cache_ttl_s=0)``) — deprecated with a
-    warning through the redesign window — now raises ``TypeError`` with
-    a migration hint.  Spell it
-    ``ExecutionPolicy.defaults().replace(attempts=3, cache_ttl_s=0)``.
+    flat knob spellings of :data:`_FLAT_KNOBS`, and returns a new policy
+    — instances are frozen and safely shareable.
     """
 
-    retry: RetryPolicy
-    cache: CachePolicy
-    breaker: BreakerPolicy
-    deadline: DeadlinePolicy
+    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    cache: CachePolicy = field(default_factory=CachePolicy)
+    breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
+    deadline: DeadlinePolicy = field(default_factory=DeadlinePolicy)
     #: Thread-pool width for :meth:`ExecutionEngine.execute_many`;
     #: 1 degrades to serial execution.
-    max_workers: int
-    overrides: OverrideMap
-
-    def __init__(
-        self,
-        retry: RetryPolicy | None = None,
-        cache: CachePolicy | None = None,
-        breaker: BreakerPolicy | None = None,
-        deadline: DeadlinePolicy | None = None,
-        max_workers: int = 8,
-        overrides: "OverrideMap | dict[str, dict[str, object]]" = (),
-        **flat: object,
-    ):
-        if flat:
-            unknown = sorted(set(flat) - set(_FLAT_KNOBS))
-            if unknown:
-                raise TypeError(
-                    "unknown ExecutionPolicy knob(s): " + ", ".join(unknown)
-                )
-            # The legacy flat-constructor shim (deprecated through the
-            # policy-redesign window) is gone; fail with the migration.
-            raise TypeError(
-                "flat ExecutionPolicy(...) kwargs were removed; use "
-                "ExecutionPolicy.defaults().replace("
-                + ", ".join(f"{k}=..." for k in sorted(flat))
-                + ")"
-            )
-        groups: dict[str, object] = {
-            "retry": retry if retry is not None else RetryPolicy(),
-            "cache": cache if cache is not None else CachePolicy(),
-            "breaker": breaker if breaker is not None else BreakerPolicy(),
-            "deadline": deadline if deadline is not None else DeadlinePolicy(),
-        }
-        object.__setattr__(self, "retry", groups["retry"])
-        object.__setattr__(self, "cache", groups["cache"])
-        object.__setattr__(self, "breaker", groups["breaker"])
-        object.__setattr__(self, "deadline", groups["deadline"])
-        object.__setattr__(self, "max_workers", int(max_workers))
-        object.__setattr__(self, "overrides", _freeze_overrides(overrides))
-
-    # -- construction ------------------------------------------------------
+    max_workers: int = 8
 
     @classmethod
     def defaults(cls) -> "ExecutionPolicy":
@@ -641,93 +522,19 @@ class ExecutionPolicy:
         """A copy with *changes* applied.
 
         Accepts whole groups (``retry=``, ``cache=``, ``breaker=``,
-        ``deadline=``), engine-wide settings (``max_workers=``,
-        ``overrides=``), or any flat knob from :data:`_FLAT_KNOBS`
-        (``attempts=3``, ``cache_ttl_s=0`` …) — the layered spelling of
-        the deprecated flat constructor.
+        ``deadline=``), ``max_workers=``, or any flat knob from
+        :data:`_FLAT_KNOBS` (``attempts=3``, ``cache_ttl_s=0`` …).  A
+        flat knob applies on top of a group passed in the same call.
         """
-        groups: dict[str, object] = {
-            "retry": self.retry,
-            "cache": self.cache,
-            "breaker": self.breaker,
-            "deadline": self.deadline,
-        }
-        max_workers = changes.pop("max_workers", self.max_workers)
-        overrides = changes.pop("overrides", self.overrides)
-        for group_name in tuple(groups):
-            if group_name in changes:
-                groups[group_name] = changes.pop(group_name)
         by_group: dict[str, dict[str, object]] = {}
-        for knob, value in changes.items():
-            if knob not in _FLAT_KNOBS:
-                raise TypeError(f"unknown policy knob {knob!r}")
+        for knob in [k for k in changes if k in _FLAT_KNOBS]:
             group_name, field_name = _FLAT_KNOBS[knob]
-            by_group.setdefault(group_name, {})[field_name] = value
+            by_group.setdefault(group_name, {})[field_name] = changes.pop(knob)
         for group_name, kwargs in by_group.items():
-            groups[group_name] = _dataclass_replace(groups[group_name], **kwargs)
-        return ExecutionPolicy(
-            retry=groups["retry"],
-            cache=groups["cache"],
-            breaker=groups["breaker"],
-            deadline=groups["deadline"],
-            max_workers=max_workers,
-            overrides=overrides,
-        )
+            group = changes.get(group_name, getattr(self, group_name))
+            changes[group_name] = _dataclass_replace(group, **kwargs)
+        return _dataclass_replace(self, **changes)
 
-    def for_endpoint(self, endpoint: str, **knobs: object) -> "ExecutionPolicy":
-        """A copy with per-endpoint *knobs* layered over the globals.
-
-        Repeated calls for the same endpoint merge (later wins per knob).
-        Only the flat knobs of :class:`EndpointPolicy` may vary per
-        endpoint; engine-wide settings raise ``TypeError``.
-        """
-        if not knobs:
-            return self
-        for knob in knobs:
-            if knob not in _ENDPOINT_KNOBS:
-                if knob in _FLAT_KNOBS or knob == "max_workers":
-                    raise TypeError(
-                        f"policy knob {knob!r} is engine-wide and cannot "
-                        "be overridden per endpoint"
-                    )
-                raise TypeError(f"unknown policy knob {knob!r}")
-        current = {name: dict(pairs) for name, pairs in self.overrides}
-        merged = current.get(endpoint, {})
-        merged.update(knobs)
-        current[endpoint] = merged
-        return ExecutionPolicy(
-            retry=self.retry,
-            cache=self.cache,
-            breaker=self.breaker,
-            deadline=self.deadline,
-            max_workers=self.max_workers,
-            overrides=current,
-        )
-
-    def endpoint_overrides(self, endpoint: str) -> dict[str, object]:
-        """The raw per-endpoint override mapping (empty if none)."""
-        for name, pairs in self.overrides:
-            if name == endpoint:
-                return dict(pairs)
-        return {}
-
-    def effective(self, endpoint: str) -> EndpointPolicy:
-        """The flat resolved policy *endpoint*'s fetches run under."""
-        knobs: dict[str, object] = {
-            "attempts": self.retry.attempts,
-            "backoff_base_ms": self.retry.backoff_base_ms,
-            "backoff_multiplier": self.retry.backoff_multiplier,
-            "backoff_jitter": self.retry.backoff_jitter,
-            "cache_ttl_s": self.cache.ttl_s,
-            "serve_stale": self.cache.serve_stale,
-            "stale_grace_s": self.cache.stale_grace_s,
-            "breaker_enabled": self.breaker.enabled,
-            "breaker_failure_threshold": self.breaker.failure_threshold,
-            "breaker_reset_timeout_s": self.breaker.reset_timeout_s,
-            "breaker_half_open_max_calls": self.breaker.half_open_max_calls,
-        }
-        knobs.update(self.endpoint_overrides(endpoint))
-        return EndpointPolicy(**knobs)
 
 _DEFAULT_POLICY: "ExecutionPolicy | None" = None
 
@@ -955,10 +762,10 @@ class ExecutionEngine:
     """Cached, parallel, instrumented, resilient execution of fetches.
 
     Thread-safety contract: one engine is safe to share across request
-    threads and tenants.  The cache, breakers, stats and resolved-policy
-    memos are guarded by the engine lock; request-scoped state
-    (:meth:`scope` memos, active deadlines) is per-thread and explicitly
-    handed to pool workers by :meth:`execute_many`.  Concurrent misses on
+    threads and tenants.  The cache, breakers and stats are guarded by
+    the engine lock; request-scoped state (:meth:`scope` memos, active
+    deadlines) is per-thread and explicitly handed to pool workers by
+    :meth:`execute_many`.  Concurrent misses on
     one key are not coalesced: each invokes the provider.  See
     ``docs/load_testing.md`` for the full contract.
     """
@@ -990,13 +797,8 @@ class ExecutionEngine:
         self._timer = timer
         self._sleep = sleep
         self._lock = threading.RLock()
-        self._endpoint_policies: dict[tuple[str, str], EndpointPolicy] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
         self._policy = policy if policy is not None else ExecutionPolicy.defaults()
-        #: Per-tenant policy overlays (tenant id -> ExecutionPolicy); a
-        #: tenant's fetches resolve retry/cache knobs from its own policy
-        #: without touching the shared engine policy or other tenants.
-        self._tenant_policies: dict[str, ExecutionPolicy] = {}
         self._cache: OrderedDict[RequestKey, _CacheEntry] = OrderedDict()
         coalesced = getattr(store, "coalesced_bumps", 0)
         self._seen_coalesced_bumps = (
@@ -1048,13 +850,13 @@ class ExecutionEngine:
 
     @policy.setter
     def policy(self, policy: ExecutionPolicy) -> None:
-        """Swap the policy, dropping resolved-per-endpoint state.
+        """Swap the policy, resetting the breakers.
 
-        Breakers reset too — their thresholds/timeouts were resolved from
-        the old policy, and carrying tripped state across a reconfigure
-        would surprise more than it protects.  In-flight fetches finish
-        under the old policy and their breaker records are discarded (the
-        breaker they gated through no longer exists; see
+        Their thresholds/timeouts were taken from the old policy, and
+        carrying tripped state across a reconfigure would surprise more
+        than it protects.  In-flight fetches finish under the old policy
+        and their breaker records are discarded (the breaker they gated
+        through no longer exists; see
         :meth:`_breaker_record`).  A swap that changes ``max_workers``
         retires the lazily-built thread pool so the next fan-out builds
         one at the new width instead of silently keeping the stale size.
@@ -1067,66 +869,11 @@ class ExecutionEngine:
             ):
                 stale_pool, self._pool = self._pool, None
             self._policy = policy
-            self._endpoint_policies.clear()
             self._breakers.clear()
         if stale_pool is not None:
             # Outside the lock: running fan-outs keep their submitted
             # futures; only new submissions move to the resized pool.
             stale_pool.shutdown(wait=False)
-
-    # -- per-tenant policies -------------------------------------------------
-
-    def set_tenant_policy(self, tenant_id: str, policy: ExecutionPolicy) -> None:
-        """Give *tenant_id*'s fetches their own policy overlay.
-
-        A fetch belongs to a tenant via its request context's ``team_id``.
-        Tenants share cache entries only for endpoints that declare they
-        do not read the team; a tenant with an overlay gets its own key
-        partition even there, so its cache knobs never apply to, or take
-        entries from, another tenant (see :meth:`_key`).  The overlay
-        governs retry/backoff and cache knobs; **circuit breakers stay
-        engine-wide** — endpoint health is a property of the provider,
-        not of who asked — so breaker knobs in a tenant policy are
-        ignored.  Setting an overlay never perturbs other tenants or the
-        shared engine policy.
-        """
-        if not tenant_id:
-            raise ValueError("tenant_id must be non-empty")
-        with self._lock:
-            self._tenant_policies[tenant_id] = policy
-            self._drop_tenant_resolutions(tenant_id)
-
-    def clear_tenant_policy(self, tenant_id: str) -> None:
-        """Remove *tenant_id*'s overlay; its fetches rejoin the shared policy."""
-        with self._lock:
-            self._tenant_policies.pop(tenant_id, None)
-            self._drop_tenant_resolutions(tenant_id)
-
-    def tenant_policy(self, tenant_id: str) -> ExecutionPolicy:
-        """The policy *tenant_id*'s fetches run under (shared if no overlay)."""
-        with self._lock:
-            return self._tenant_policies.get(tenant_id, self._policy)
-
-    def _drop_tenant_resolutions(self, tenant_id: str) -> None:
-        """Forget resolved EndpointPolicy memos for one tenant (lock held)."""
-        for memo_key in [
-            k for k in self._endpoint_policies if k[0] == tenant_id
-        ]:
-            del self._endpoint_policies[memo_key]
-
-    def _policy_for(self, endpoint: str, tenant: str = "") -> EndpointPolicy:
-        if tenant and tenant not in self._tenant_policies:
-            tenant = ""  # no overlay: share the engine-wide resolution
-        memo_key = (tenant, endpoint)
-        resolved = self._endpoint_policies.get(memo_key)
-        if resolved is None:
-            with self._lock:
-                resolved = self._endpoint_policies.get(memo_key)
-                if resolved is None:
-                    policy = self._tenant_policies.get(tenant, self._policy)
-                    resolved = policy.effective(endpoint)
-                    self._endpoint_policies[memo_key] = resolved
-        return resolved
 
     # -- deadlines ---------------------------------------------------------
 
@@ -1321,14 +1068,7 @@ class ExecutionEngine:
         if cached is not None:
             self.stats.count("estimates", endpoint)
             return cached.payload_size()
-        getter = getattr(self.registry, "estimator", None)
-        estimator = getter(endpoint) if callable(getter) else None
-        if estimator is None:
-            try:
-                resolved = self.registry.resolve(endpoint)
-            except ProviderError:
-                return None
-            estimator = declared_estimator(resolved)
+        estimator = self.registry.estimator(endpoint)
         if estimator is None:
             return None
         try:
@@ -1480,7 +1220,7 @@ class ExecutionEngine:
         frozen = coerce_domains(domains)
         if not frozen:
             return
-        generation = self._registration_generation(endpoint)
+        generation = self.registry.registration_generation(endpoint)
         with self._lock:
             entry = self._dependency_overlay.get(endpoint)
             current = (
@@ -1500,25 +1240,17 @@ class ExecutionEngine:
         declaration of its own must fall back to conservative
         invalidation, not inherit its predecessor's narrower set.
         """
-        declared = self.registry.dependencies(endpoint) if hasattr(
-            self.registry, "dependencies"
-        ) else None
+        declared = self.registry.dependencies(endpoint)
+        generation = self.registry.registration_generation(endpoint)
         with self._lock:
             entry = self._dependency_overlay.get(endpoint)
-            if entry is not None and entry[0] != self._registration_generation(
-                endpoint
-            ):
+            if entry is not None and entry[0] != generation:
                 del self._dependency_overlay[endpoint]
                 entry = None
         overlaid = entry[1] if entry is not None else None
         if declared is None and overlaid is None:
             return None
         return (declared or frozenset()) | (overlaid or frozenset())
-
-    def _registration_generation(self, endpoint: str) -> int:
-        """The registry's stamp for *endpoint*'s current registration."""
-        getter = getattr(self.registry, "registration_generation", None)
-        return getter(endpoint) if callable(getter) else 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -1545,23 +1277,11 @@ class ExecutionEngine:
     # -- cache internals ----------------------------------------------------
 
     def _key(self, endpoint: str, request: ProviderRequest) -> RequestKey:
-        """The request key of one fetch through this engine.
-
-        Keyed on the endpoint's registered context declaration, plus the
-        team when that team has a tenant policy overlay: the overlay's
-        cache knobs (``_remember`` reads ``key[3]``) then apply to its
-        own partition.  Setting or clearing an overlay needs no cache
-        drop — the old partition's entries simply become unreachable and
-        age out of the LRU.
-        """
-        fields = self.registry.context_fields(endpoint)
-        if (
-            fields is not None
-            and "team_id" not in fields
-            and request.context.team_id in self._tenant_policies
-        ):
-            fields = fields | _TENANT_FIELD
-        return request_key(endpoint, request, fields)
+        """The request key of one fetch through this engine, keyed on the
+        endpoint's registered context declaration."""
+        return request_key(
+            endpoint, request, self.registry.context_fields(endpoint)
+        )
 
     def _memo_stack(self) -> list[dict]:
         stack = getattr(self._memos, "stack", None)
@@ -1611,9 +1331,14 @@ class ExecutionEngine:
             return (entry.result, max(0.0, now - entry.fresh_until))
 
     def _remember(
-        self, key: RequestKey, result: ProviderResult, stamp: _Stamp
+        self,
+        key: RequestKey,
+        result: ProviderResult,
+        stamp: _Stamp,
+        cache: CachePolicy,
     ) -> None:
-        """Cache *result* under the stamp taken before its fetch.
+        """Cache *result* under the stamp taken before its fetch, with the
+        *cache* knobs the fetch started under.
 
         A write that landed while the fetch ran is caught when the entry
         is read: the stamp predates it, so the read patches or drops the
@@ -1622,18 +1347,17 @@ class ExecutionEngine:
         stack = self._memo_stack()
         if stack:
             stack[-1][key] = result
-        policy = self._policy_for(key[0], tenant=key[3])
-        if policy.cache_ttl_s <= 0:
+        if cache.ttl_s <= 0:
             return
         with self._lock:
             now = self._timer()
-            fresh_until = now + policy.cache_ttl_s
+            fresh_until = now + cache.ttl_s
             stale_until = fresh_until + (
-                policy.stale_grace_s if policy.serve_stale else 0.0
+                cache.stale_grace_s if cache.serve_stale else 0.0
             )
             self._cache[key] = _CacheEntry(fresh_until, stale_until, result, stamp)
             self._cache.move_to_end(key)
-            while len(self._cache) > self._policy.cache.max_entries:
+            while len(self._cache) > cache.max_entries:
                 self._cache.popitem(last=False)
 
     def _stamp(self) -> _Stamp:
@@ -1703,7 +1427,7 @@ class ExecutionEngine:
             return True
         if moved - PATCHABLE_DOMAINS or stamp.offset is None:
             return self._drop(key)
-        patcher = self._patcher_for(endpoint)
+        patcher = self.registry.patcher(endpoint)
         if patcher is None:
             return self._drop(key)
         records, next_offset, truncated = store.events.since(stamp.offset)
@@ -1741,11 +1465,6 @@ class ExecutionEngine:
                     )
                     self._seen_coalesced_bumps = total
 
-    def _patcher_for(self, endpoint: str) -> ResultPatcher | None:
-        getter = getattr(self.registry, "patcher", None)
-        patcher = getter(endpoint) if callable(getter) else None
-        return patcher if callable(patcher) else None
-
     # -- execution internals -------------------------------------------------
 
     def _executor(self) -> ThreadPoolExecutor:
@@ -1774,17 +1493,12 @@ class ExecutionEngine:
         with self.tracer.span("engine.fetch") as sp:
             if sp:
                 sp.set("endpoint", endpoint)
-            tenant = request.context.team_id
-            policy = self._policy_for(endpoint, tenant)
-            # Breakers are engine-wide: their knobs resolve from the shared
-            # policy so a tenant overlay can never weaken another tenant's
-            # protection against a failing provider.
-            base = policy if not tenant else self._policy_for(endpoint)
+            policy = self._policy
             now = self._timer()
             if deadline is not None and deadline.expired(now):
                 self.stats.count("deadline_skips", endpoint)
                 stale = self._stale_outcome(
-                    endpoint, key, policy, "deadline exhausted"
+                    endpoint, key, policy.cache, "deadline exhausted"
                 )
                 if sp:
                     sp.set("gate", "deadline")
@@ -1798,14 +1512,14 @@ class ExecutionEngine:
                     reason="deadline exhausted",
                 )
             breaker: CircuitBreaker | None = None
-            if base.breaker_enabled:
+            if policy.breaker.enabled:
                 allowed, retry_after, breaker = self._breaker_gate(
-                    endpoint, base, now
+                    endpoint, policy.breaker, now
                 )
                 if not allowed:
                     self.stats.count("breaker_rejections", endpoint)
                     stale = self._stale_outcome(
-                        endpoint, key, policy, "circuit open"
+                        endpoint, key, policy.cache, "circuit open"
                     )
                     if sp:
                         sp.set("gate", "breaker")
@@ -1834,7 +1548,7 @@ class ExecutionEngine:
             finally:
                 stack.pop()
             self._breaker_record(endpoint, ok=True, breaker=breaker)
-            self._remember(key, result, stamp=stamp)
+            self._remember(key, result, stamp, policy.cache)
             if sp:
                 sp.set("outcome", "ok")
             return FetchOutcome(endpoint, result=result)
@@ -1843,11 +1557,11 @@ class ExecutionEngine:
         self,
         endpoint: str,
         key: RequestKey,
-        policy: EndpointPolicy,
+        cache: CachePolicy,
         reason: str,
     ) -> FetchOutcome | None:
         """A stale-while-revalidate outcome, if policy and cache allow."""
-        if not policy.serve_stale:
+        if not cache.serve_stale:
             return None
         held = self._lookup_stale(key)
         if held is None:
@@ -1861,19 +1575,19 @@ class ExecutionEngine:
             reason=f"{reason}; serving cached result {age_s:.0f}s past TTL",
         )
 
-    def _breaker_for(self, endpoint: str, policy: EndpointPolicy) -> CircuitBreaker:
+    def _breaker_for(self, endpoint: str, policy: BreakerPolicy) -> CircuitBreaker:
         """The endpoint's breaker, lazily created (lock held)."""
         breaker = self._breakers.get(endpoint)
         if breaker is None:
             breaker = self._breakers[endpoint] = CircuitBreaker(
-                failure_threshold=policy.breaker_failure_threshold,
-                reset_timeout_s=policy.breaker_reset_timeout_s,
-                half_open_max_calls=policy.breaker_half_open_max_calls,
+                failure_threshold=policy.failure_threshold,
+                reset_timeout_s=policy.reset_timeout_s,
+                half_open_max_calls=policy.half_open_max_calls,
             )
         return breaker
 
     def _breaker_gate(
-        self, endpoint: str, policy: EndpointPolicy, now: float
+        self, endpoint: str, policy: BreakerPolicy, now: float
     ) -> tuple[bool, float, CircuitBreaker]:
         """(allowed, retry_after_s, breaker); transitions open → half-open.
 
@@ -1970,23 +1684,23 @@ class ExecutionEngine:
         expired deadline stops retrying immediately, and a backoff delay
         never sleeps past the remaining budget.
         """
-        policy = self._policy_for(endpoint, request.context.team_id)
+        retry = self._policy.retry
         deadline = self._current_deadline()
         attempt = 1
         while True:
             try:
                 return call_next(endpoint, request)
             except ProviderError as exc:
-                if attempt >= policy.attempts or not is_transient(exc):
+                if attempt >= retry.attempts or not is_transient(exc):
                     raise
                 now = self._timer()
                 if deadline is not None and deadline.expired(now):
                     raise
-                delay_ms = policy.backoff_base_ms * (
-                    policy.backoff_multiplier ** (attempt - 1)
+                delay_ms = retry.backoff_base_ms * (
+                    retry.backoff_multiplier ** (attempt - 1)
                 )
-                if policy.backoff_jitter > 0:
-                    delay_ms *= 1.0 + policy.backoff_jitter * _jitter_fraction(
+                if retry.backoff_jitter > 0:
+                    delay_ms *= 1.0 + retry.backoff_jitter * _jitter_fraction(
                         endpoint, attempt
                     )
                 if deadline is not None:

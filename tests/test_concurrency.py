@@ -390,33 +390,6 @@ class TestEngineStress:
         assert all(o.status is FetchStatus.ERROR for o in outcomes)
         assert endpoint.calls == 8
 
-    def test_tenant_policies_are_isolated_under_contention(self):
-        """Tenant overlays set/cleared concurrently never affect other
-        tenants' resolved policies."""
-        endpoint = CountingEndpoint()
-        engine = _engine(
-            {"x://count": endpoint},
-            policy=ExecutionPolicy.defaults().replace(attempts=1),
-        )
-        overlay = ExecutionPolicy.defaults().replace(attempts=7)
-
-        def worker(index: int) -> None:
-            tenant = f"t-{index % 4}"
-            for _ in range(50):
-                if index % 2 == 0:
-                    engine.set_tenant_policy(tenant, overlay)
-                    assert engine.tenant_policy(tenant).retry.attempts == 7
-                    engine.clear_tenant_policy(tenant)
-                else:
-                    # Readers: a foreign tenant's churn never leaks in.
-                    assert engine.tenant_policy("t-stable").retry.attempts == 1
-                    engine.execute("x://count", ProviderRequest(
-                        context=RequestContext(team_id="t-stable")
-                    ))
-
-        _hammer(8, worker)
-        assert engine.tenant_policy("t-stable").retry.attempts == 1
-
 
 class TestSqliteConcurrentReaders:
     def test_parallel_readers_while_writing(self, tmp_path):

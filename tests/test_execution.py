@@ -9,7 +9,9 @@ regenerations on an unchanged catalog perform zero duplicate endpoint
 invocations.
 """
 
+import ast
 import dataclasses
+import re
 import threading
 from pathlib import Path
 
@@ -34,6 +36,7 @@ from repro.providers.base import (
     reads_context,
 )
 from repro.providers.execution import (
+    _FLAT_KNOBS,
     BreakerPolicy,
     BreakerState,
     CachePolicy,
@@ -167,32 +170,6 @@ class TestDeclaredContextKeys:
             registry.register("x://bad", CountingEndpoint(), context=["user"])
         with pytest.raises(ValueError):
             reads_context("team")
-
-    def test_tenant_overlay_partitions_a_shared_endpoint(self):
-        registry = EndpointRegistry()
-        endpoint = CountingEndpoint()
-        registry.register("x://shared", endpoint, context=())
-        engine = ExecutionEngine(registry)
-        engine.set_tenant_policy(
-            "t-cold", ExecutionPolicy.defaults().replace(cache_ttl_s=0)
-        )
-        engine.execute("x://shared", _ctx("u-1", "t-warm"))
-        assert endpoint.calls == 1
-        # The overlay tenant is never served the other tenant's entry,
-        # and its own answers are never cached (ttl 0).
-        cold = engine.execute("x://shared", _ctx("u-2", "t-cold"))
-        assert cold.fresh and endpoint.calls == 2
-        engine.execute("x://shared", _ctx("u-2", "t-cold"))
-        assert endpoint.calls == 3
-        # Other tenants without an overlay still share the warm entry.
-        engine.execute("x://shared", _ctx("u-3", "t-other"))
-        assert endpoint.calls == 3
-        # Clearing the overlay rejoins the shared slot: no cache drop,
-        # no refetch.
-        engine.clear_tenant_policy("t-cold")
-        engine.execute("x://shared", _ctx("u-2", "t-cold"))
-        assert endpoint.calls == 3
-        assert engine.cache_size == 1
 
     def test_in_batch_dedup_coalesces_across_users(self):
         registry = EndpointRegistry()
@@ -863,22 +840,12 @@ def _clock_engine(registry, policy=None):
 
 
 class TestRemovedFlatPolicyConstructor:
-    """The legacy flat ExecutionPolicy(...) constructor shim is gone:
-    flat kwargs raise TypeError with the replace(...) migration hint."""
+    """The legacy flat ExecutionPolicy(...) constructor is gone: flat
+    kwargs raise TypeError; the flat spelling lives on in replace()."""
 
-    def test_flat_kwargs_raise_with_migration_hint(self):
-        with pytest.raises(TypeError, match=r"removed.*replace\("):
+    def test_flat_kwargs_raise_type_error(self):
+        with pytest.raises(TypeError):
             ExecutionPolicy(attempts=3, cache_ttl_s=60.0)
-
-    def test_migration_hint_names_the_offending_knobs(self):
-        with pytest.raises(
-            TypeError, match=r"attempts=\.\.\., cache_ttl_s=\.\.\."
-        ):
-            ExecutionPolicy(attempts=3, cache_ttl_s=60.0)
-
-    def test_unknown_flat_kwarg_still_named_unknown(self):
-        with pytest.raises(TypeError, match="unknown ExecutionPolicy knob"):
-            ExecutionPolicy(atempts=3)
 
     def test_layered_spelling_replaces_the_shim(self):
         policy = ExecutionPolicy.defaults().replace(
@@ -939,6 +906,13 @@ class TestLayeredPolicyApi:
         by_knob = ExecutionPolicy.defaults().replace(attempts=4)
         assert by_group == by_knob
         assert by_knob.retry.backoff_base_ms == RetryPolicy().backoff_base_ms
+        # A flat knob applies on top of a group passed in the same call.
+        both = ExecutionPolicy.defaults().replace(
+            retry=RetryPolicy(attempts=4), backoff_base_ms=1.0
+        )
+        assert both.retry == RetryPolicy(attempts=4, backoff_base_ms=1.0)
+        with pytest.raises(TypeError):
+            ExecutionPolicy.defaults().replace(atempts=3)
 
     def test_replace_returns_new_frozen_instance(self):
         base = ExecutionPolicy.defaults()
@@ -948,35 +922,6 @@ class TestLayeredPolicyApi:
         with pytest.raises(dataclasses.FrozenInstanceError):
             changed.max_workers = 2
 
-    def test_for_endpoint_overrides_only_that_endpoint(self):
-        policy = ExecutionPolicy.defaults().for_endpoint(
-            "x://a", attempts=7, breaker_failure_threshold=2
-        )
-        assert policy.effective("x://a").attempts == 7
-        assert policy.effective("x://a").breaker_failure_threshold == 2
-        assert policy.effective("x://b") == ExecutionPolicy.defaults().effective(
-            "x://b"
-        )
-
-    def test_for_endpoint_merges_repeated_calls(self):
-        policy = (
-            ExecutionPolicy.defaults()
-            .for_endpoint("x://a", attempts=7)
-            .for_endpoint("x://a", attempts=9, cache_ttl_s=1.0)
-        )
-        effective = policy.effective("x://a")
-        assert effective.attempts == 9
-        assert effective.cache_ttl_s == 1.0
-
-    def test_for_endpoint_rejects_engine_wide_knobs(self):
-        with pytest.raises(TypeError, match="engine-wide"):
-            ExecutionPolicy.defaults().for_endpoint("x://a", max_workers=2)
-        with pytest.raises(TypeError, match="engine-wide"):
-            ExecutionPolicy.defaults().for_endpoint("x://a",
-                                                    cache_max_entries=9)
-        with pytest.raises(TypeError, match="unknown policy knob"):
-            ExecutionPolicy.defaults().for_endpoint("x://a", nope=1)
-
     def test_group_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(attempts=0)
@@ -984,6 +929,34 @@ class TestLayeredPolicyApi:
             RetryPolicy(backoff_jitter=2.0)
         with pytest.raises(ValueError):
             BreakerPolicy(failure_threshold=0)
+
+
+class TestPolicyKnobTable:
+    """``docs/execution.md`` lists every settable policy value."""
+
+    @staticmethod
+    def _documented() -> dict[str, tuple[str, object]]:
+        doc = Path(__file__).resolve().parent.parent / "docs" / "execution.md"
+        rows = {}
+        for line in doc.read_text(encoding="utf-8").splitlines():
+            match = re.match(
+                r"\| `(\w+)` \| `([\w.]+)` \| `([^`]+)` \| .+ \|$", line
+            )
+            if match:
+                name, path, default = match.groups()
+                rows[name] = (path, ast.literal_eval(default))
+        return rows
+
+    def test_table_names_every_knob_with_its_field_and_default(self):
+        policy = ExecutionPolicy()
+        expected = {"max_workers": ("max_workers", policy.max_workers)}
+        for knob, (group, field_name) in _FLAT_KNOBS.items():
+            value = getattr(getattr(policy, group), field_name)
+            expected[knob] = (f"{group}.{field_name}", value)
+        documented = self._documented()
+        assert documented == expected
+        for knob, (_, value) in expected.items():
+            assert type(documented[knob][1]) is type(value), knob
 
 
 class TestCircuitBreaker:
@@ -999,8 +972,8 @@ class TestCircuitBreaker:
 
     def _policy(self, **knobs):
         return ExecutionPolicy.defaults().replace(
-            cache_ttl_s=0
-        ).for_endpoint("x://shaky", breaker_failure_threshold=3, **knobs)
+            cache_ttl_s=0, breaker_failure_threshold=3, **knobs
+        )
 
     def test_opens_after_consecutive_failures(self):
         registry, failing = self._registry()
@@ -1071,6 +1044,19 @@ class TestCircuitBreaker:
         assert failing.calls == 10
         assert engine.breaker_state("x://shaky") is BreakerState.CLOSED
 
+    def test_threshold_applies_to_every_endpoint(self):
+        registry, _ = self._registry()
+        registry.register(
+            "x://other",
+            FailNTimesEndpoint(CountingEndpoint(), fail_count=100,
+                               name="other"),
+        )
+        engine, _ = _clock_engine(registry, self._policy())
+        for endpoint in ("x://shaky", "x://other"):
+            for _ in range(3):
+                engine.execute(endpoint, ProviderRequest())
+            assert engine.breaker_state(endpoint) is BreakerState.OPEN
+
     def test_policy_swap_resets_breakers(self):
         registry, failing = self._registry()
         engine, _ = _clock_engine(registry, self._policy())
@@ -1088,8 +1074,8 @@ class TestStaleWhileRevalidate:
         wobbly = FlakyEndpoint(CountingEndpoint(), fail_on=lambda i: i > 1,
                                name="wobbly")
         registry.register("x://wobbly", wobbly)
-        policy = policy or ExecutionPolicy.defaults().for_endpoint(
-            "x://wobbly", breaker_failure_threshold=3
+        policy = policy or ExecutionPolicy.defaults().replace(
+            breaker_failure_threshold=3
         )
         engine, clock = _clock_engine(registry, policy)
         assert engine.execute("x://wobbly", ProviderRequest()).fresh
@@ -1136,8 +1122,8 @@ class TestStaleWhileRevalidate:
 
     def test_serve_stale_can_be_disabled(self):
         policy = ExecutionPolicy.defaults().replace(
-            serve_stale=False
-        ).for_endpoint("x://wobbly", breaker_failure_threshold=3)
+            serve_stale=False, breaker_failure_threshold=3
+        )
         engine, clock, _ = self._warmed_engine(policy)
         clock.advance(seconds=CachePolicy().ttl_s + 1)
         for _ in range(3):
@@ -1317,9 +1303,7 @@ class TestHealthSurface:
         )
         engine, _ = _clock_engine(
             registry,
-            ExecutionPolicy.defaults().for_endpoint(
-                "x://down", breaker_failure_threshold=2
-            ),
+            ExecutionPolicy.defaults().replace(breaker_failure_threshold=2),
         )
         for _ in range(3):
             engine.execute("x://down", ProviderRequest())

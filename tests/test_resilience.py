@@ -44,8 +44,9 @@ _MODES = ("ok", "fail_always", "fail_first")
 def _make_app(faults: dict[str, str]) -> WorkbookApp:
     """A workbook over the shared store with *faults* injected.
 
-    ``faults`` maps endpoint URI -> mode.  Faulted endpoints also get a
-    hair-trigger breaker so a single chaos round exercises it.
+    ``faults`` maps endpoint URI -> mode.  Any fault also makes the
+    breaker hair-trigger, so a single chaos round exercises it; the
+    threshold is engine-wide, but only faulted endpoints ever fail.
     """
     registry = EndpointRegistry()
     install_builtin_endpoints(registry, BuiltinProviders(_STORE))
@@ -61,7 +62,7 @@ def _make_app(faults: dict[str, str]) -> WorkbookApp:
             wrapped = FailNTimesEndpoint(original, fail_count=1,
                                          name=endpoint)
         registry.register(endpoint, wrapped, replace=True)
-        policy = policy.for_endpoint(endpoint, breaker_failure_threshold=1)
+        policy = policy.replace(breaker_failure_threshold=1)
     return WorkbookApp(_STORE, registry=registry, policy=policy)
 
 
@@ -177,8 +178,8 @@ class TestStaleSearch:
             registry,
             store=_STORE,
             clock=clock,
-            policy=ExecutionPolicy.defaults().for_endpoint(
-                "catalog://badged", breaker_failure_threshold=1
+            policy=ExecutionPolicy.defaults().replace(
+                breaker_failure_threshold=1
             ),
         )
         return DiscoveryInterface(
