@@ -21,12 +21,16 @@ Emits ``benchmarks/results/BENCH_invalidation.json`` plus a text table.
 Set ``BENCH_INVALIDATION_SMOKE=1`` for the CI-sized run.
 """
 
+import dataclasses
 import json
 import os
 from pathlib import Path
 
 from benchmarks.conftest import RESULTS_DIR, write_result
+from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
 from repro.providers.execution import ExecutionPolicy
+from repro.providers.registry import EndpointRegistry
+from repro.providers.suite import default_spec
 from repro.synth import SynthConfig, generate_catalog
 from repro.workbook.app import WorkbookApp
 
@@ -57,6 +61,36 @@ def _build_store():
 def _queries(store) -> list[str]:
     owner = store.users()[0].name
     return [template.format(owner=owner) for template in QUERY_TEMPLATES]
+
+
+def _coupled_app(store) -> WorkbookApp:
+    """The builtin suite with every dependency declaration removed.
+
+    Each endpoint is re-registered behind an undecorated wrapper that
+    keeps its context and estimator declarations (so request keys and
+    planning match the dependency-aware app), and the spec declares no
+    dependencies, so every registration stays undeclared and any write
+    drops every entry: the conservative fallback path.
+    """
+    declared = EndpointRegistry()
+    install_builtin_endpoints(declared, BuiltinProviders(store))
+    registry = EndpointRegistry()
+    for uri in declared:
+        record = declared.registration(uri)
+        registry.register(
+            uri,
+            lambda request, fetch=record.endpoint: fetch(request),
+            estimator=record.estimator,
+            context=record.context,
+        )
+    spec = default_spec()
+    spec = dataclasses.replace(spec, providers=tuple(
+        dataclasses.replace(provider, dependencies=frozenset())
+        for provider in spec.providers
+    ))
+    app = WorkbookApp(store, spec=spec, registry=registry)
+    assert all(registry.registration(uri).domains is None for uri in registry)
+    return app
 
 
 def _run_workload(app, store, queries, iterations, oracle=None) -> dict:
@@ -107,8 +141,7 @@ def test_bench_invalidation_workload():
 
     # The pre-tentpole behaviour: no endpoint declares anything, so any
     # write flushes every entry (the conservative fallback path).
-    with WorkbookApp(store) as app:
-        app.engine.dependencies_for = lambda endpoint: None
+    with _coupled_app(store) as app:
         coupled = _run_workload(app, store, queries, iterations)
 
     oracle.close()

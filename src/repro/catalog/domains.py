@@ -59,6 +59,14 @@ DOMAINS: tuple[str, ...] = (
 
 ALL_DOMAINS: frozenset[str] = frozenset(DOMAINS)
 
+#: Domains whose common mutations are monotonic (usage counters grow,
+#: lineage edges and members append) and therefore delta-patchable.
+#: Entities, text and badges mutations drop dependent cache entries, so
+#: a result patcher only ever runs for an endpoint reading one of these.
+PATCHABLE_DOMAINS: frozenset[str] = frozenset(
+    {DOMAIN_USAGE, DOMAIN_LINEAGE, DOMAIN_MEMBERSHIP}
+)
+
 
 def coerce_domains(domains: Iterable[str]) -> frozenset[str]:
     """Validate and freeze a dependency declaration.

@@ -73,14 +73,14 @@ class DiscoveryInterface:
             registry, store=store, policy=policy
         )
         self.spec = spec
-        # Surface spec-declared metadata-domain dependencies to the
-        # engine so dependency-aware cache invalidation covers endpoints
-        # whose callables carry no @depends_on decoration of their own.
-        for provider in spec.providers:
-            if provider.dependencies:
-                self.engine.declare_dependencies(
-                    provider.endpoint, provider.dependencies
-                )
+        # Spec-declared metadata-domain dependencies join the endpoints'
+        # registration records (replacing an earlier spec's), so
+        # dependency-aware invalidation covers endpoints whose callables
+        # carry no @depends_on decoration of their own.
+        registry.install_spec_dependencies(
+            (provider.endpoint, provider.dependencies)
+            for provider in spec.providers
+        )
         self.customization = customization or Customization()
         self.resolver = FieldResolver(store)
         self.ranker = Ranker(self.resolver)

@@ -305,17 +305,6 @@ def estimates_with(estimator: Estimator) -> Callable[[Endpoint], Endpoint]:
     return decorate
 
 
-def declared_estimator(endpoint: Endpoint) -> Estimator | None:
-    """The estimator *endpoint* declared via :func:`estimates_with`.
-
-    ``None`` means the endpoint offers no estimate; the planner then
-    treats its cardinality as unknown.  Bound methods expose the
-    attribute through ``__func__``, same as :func:`declared_dependencies`.
-    """
-    estimator = getattr(endpoint, ESTIMATOR_ATTR, None)
-    return estimator if callable(estimator) else None
-
-
 #: Attribute carrying an endpoint's declared delta patcher.
 PATCHER_ATTR = "__result_patcher__"
 
@@ -356,16 +345,6 @@ def patches_with(patcher: ResultPatcher) -> Callable[[Endpoint], Endpoint]:
     return decorate
 
 
-def declared_patcher(endpoint: Endpoint) -> ResultPatcher | None:
-    """The patcher *endpoint* declared via :func:`patches_with`.
-
-    ``None`` means the endpoint cannot patch — its cached results drop
-    on every dependent-domain write, the pre-streaming behaviour.
-    """
-    patcher = getattr(endpoint, PATCHER_ATTR, None)
-    return patcher if callable(patcher) else None
-
-
 #: Attribute carrying an endpoint's declared request-context fields.
 CONTEXT_ATTR = "__context_fields__"
 
@@ -392,9 +371,10 @@ def reads_context(*fields: str) -> Callable[[Endpoint], Endpoint]:
     The execution engine keys each fetch on the declared fields only:
     an undeclared field gets a blank slot in the request key, so an
     endpoint that reads no context (``@reads_context()``) shares one
-    cache entry, one in-flight fetch and one in-batch slot across every
-    user, team and limit.  Endpoints that declare nothing keep the full
-    key (user, team and limit), which is always correct, just unshared.
+    cache entry and one in-batch slot across every user, team and limit
+    (concurrent misses on the shared key each still invoke the
+    endpoint).  Endpoints that declare nothing keep the full key (user,
+    team and limit), which is always correct, just unshared.
 
     A field is "read" when *any* part of the result — membership, order,
     scores or the advisory ``fields`` snapshots — can differ with it.
@@ -409,32 +389,6 @@ def reads_context(*fields: str) -> Callable[[Endpoint], Endpoint]:
         return endpoint
 
     return decorate
-
-
-def declared_context(endpoint: Endpoint) -> frozenset[str] | None:
-    """The fields *endpoint* declared via :func:`reads_context`, else None.
-
-    ``None`` means "undeclared" (keyed on every context field) — distinct
-    from ``frozenset()``, which means "reads no context at all".
-    """
-    fields = getattr(endpoint, CONTEXT_ATTR, None)
-    if fields is None:
-        return None
-    return coerce_context_fields(fields)
-
-
-def declared_dependencies(endpoint: Endpoint) -> frozenset[str] | None:
-    """The domains *endpoint* declared via :func:`depends_on`, else None.
-
-    ``None`` means "undeclared" — distinct from ``frozenset()`` which
-    would mean "depends on nothing, never invalidate".  Bound methods
-    expose the attribute through ``__func__``; plain attribute access
-    covers both cases.
-    """
-    deps = getattr(endpoint, DEPENDENCIES_ATTR, None)
-    if deps is None:
-        return None
-    return coerce_domains(deps)
 
 
 def list_result(

@@ -53,9 +53,10 @@ naive reproduction scatters per call site:
 Configuration is one frozen, engine-wide :class:`ExecutionPolicy`:
 global defaults (:meth:`ExecutionPolicy.defaults`) and per-deployment
 tweaks (:meth:`ExecutionPolicy.replace`).  Fetches uniformly return a
-:class:`FetchOutcome` envelope (ok | error | stale | skipped);
-:meth:`ExecutionEngine.fetch` remains as a raise-through compatibility
-shim.  The registry stays pure name→callable resolution.
+:class:`FetchOutcome` envelope (ok | error | stale | skipped).  What
+the engine knows about an endpoint — its callable and its declarations —
+is one :class:`~repro.providers.registry.Registration` record, looked up
+once per key, estimate or revalidation.
 """
 
 from __future__ import annotations
@@ -71,12 +72,7 @@ from dataclasses import replace as _dataclass_replace
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
-from repro.catalog.domains import (
-    DOMAIN_LINEAGE,
-    DOMAIN_MEMBERSHIP,
-    DOMAIN_USAGE,
-    coerce_domains,
-)
+from repro.catalog.domains import PATCHABLE_DOMAINS
 from repro.catalog.events import EventLog, OpaqueEventRecord
 from repro.errors import (
     CircuitOpenError,
@@ -142,14 +138,6 @@ def _request_from_key(key: RequestKey) -> ProviderRequest:
             user_id=key[2], team_id=key[3], limit=key[4]
         ),
     )
-
-
-#: Domains whose common mutations are monotonic (usage counters grow,
-#: lineage edges and members append) and therefore delta-patchable.
-#: Entities, text and badges mutations drop dependent entries.
-PATCHABLE_DOMAINS = frozenset(
-    {DOMAIN_USAGE, DOMAIN_LINEAGE, DOMAIN_MEMBERSHIP}
-)
 
 
 # -- instrumentation --------------------------------------------------------
@@ -804,13 +792,6 @@ class ExecutionEngine:
         self._seen_coalesced_bumps = (
             coalesced if isinstance(coalesced, int) else 0
         )
-        # Spec-declared dependencies overlaid per endpoint URI; unioned
-        # with registry-declared dependencies by :meth:`dependencies_for`.
-        # Each entry is stamped with the endpoint's registration
-        # generation at declaration time, so re-registering the endpoint
-        # (possibly with a callable declaring nothing) retires the stale
-        # overlay instead of silently narrowing invalidation.
-        self._dependency_overlay: dict[str, tuple[int, frozenset[str]]] = {}
         self._memos = threading.local()
         self._ambient = threading.local()
         self._pool: ThreadPoolExecutor | None = None
@@ -1027,21 +1008,6 @@ class ExecutionEngine:
                 batch_sp.set("ran", len(pending))
             return [outcomes[key] for key in keys]
 
-    def fetch(self, endpoint: str, request: ProviderRequest) -> ProviderResult:
-        """**Deprecated** raise-through shim over :meth:`execute`.
-
-        Pre-redesign call sites expect a bare :class:`ProviderResult` and
-        a raised :class:`~repro.errors.ProviderError` on failure; this
-        preserves that contract (a ``skipped`` outcome raises its
-        :class:`~repro.errors.CircuitOpenError` /
-        :class:`~repro.errors.DeadlineExceededError`).  The stale-vs-ok
-        distinction is lost — callers that care use :meth:`execute`.
-        """
-        outcome = self.execute(endpoint, request)
-        if outcome.result is not None:
-            return outcome.result
-        raise outcome.error
-
     def estimate(self, endpoint: str, request: ProviderRequest) -> int | None:
         """Predict the fetch's result cardinality without invoking it.
 
@@ -1063,12 +1029,15 @@ class ExecutionEngine:
         costs speed, not correctness (and a hook that raises is treated
         as "no estimate", same fault containment as fetches).
         """
-        key = self._key(endpoint, request)
+        registration = self.registry.registration(endpoint)
+        key = request_key(
+            endpoint, request, registration.context if registration else None
+        )
         cached = self._lookup(key)
         if cached is not None:
             self.stats.count("estimates", endpoint)
             return cached.payload_size()
-        estimator = self.registry.estimator(endpoint)
+        estimator = registration.estimator if registration else None
         if estimator is None:
             return None
         try:
@@ -1103,16 +1072,12 @@ class ExecutionEngine:
         through the store's ``version`` counter.  Dropped entries are
         gone for the stale-while-revalidate path too — an invalidated
         result is *wrong*, not merely old, so serving it marked "stale"
-        would still be serving a lie.  A full invalidation also clears
-        the spec-declared dependency overlay: the swapped-in spec
-        re-declares its dependencies when its interface is built, and
-        keeping the old spec's declarations around would let them linger
-        past the spec they came from.
+        would still be serving a lie.  Declarations live on the
+        registry's records and are not touched.
         """
         with self._lock:
             if endpoint is None:
                 self._cache.clear()
-                self._dependency_overlay.clear()
             else:
                 for key in [k for k in self._cache if k[0] == endpoint]:
                     del self._cache[key]
@@ -1199,59 +1164,6 @@ class ExecutionEngine:
         )
         return "\n".join(lines)
 
-    # -- dependency declarations ---------------------------------------------
-
-    def declare_dependencies(
-        self, endpoint: str, domains: "frozenset[str] | Sequence[str]"
-    ) -> None:
-        """Overlay a dependency declaration for *endpoint*.
-
-        Discovery calls this with each :class:`ProviderSpec`'s declared
-        ``dependencies`` so spec-level declarations reach the cache even
-        when the endpoint callable carries no ``@depends_on`` decoration.
-        Empty *domains* is a no-op (an empty declaration means
-        "undeclared", not "depends on nothing").
-
-        The declaration is bound to the endpoint's *current* registration
-        generation: when the endpoint is later re-registered, the overlay
-        entry is retired (see :meth:`dependencies_for`) rather than
-        applied to a callable it never described.
-        """
-        frozen = coerce_domains(domains)
-        if not frozen:
-            return
-        generation = self.registry.registration_generation(endpoint)
-        with self._lock:
-            entry = self._dependency_overlay.get(endpoint)
-            current = (
-                entry[1]
-                if entry is not None and entry[0] == generation
-                else frozenset()
-            )
-            self._dependency_overlay[endpoint] = (generation, current | frozen)
-
-    def dependencies_for(self, endpoint: str) -> frozenset[str] | None:
-        """Effective domains for *endpoint*: registry ∪ overlay, or None.
-
-        ``None`` means no declaration exists anywhere, and the endpoint's
-        cached results are conservatively dropped on any catalog write.
-        Overlay entries declared against an earlier registration of the
-        endpoint are dropped here — a swapped-in callable with no
-        declaration of its own must fall back to conservative
-        invalidation, not inherit its predecessor's narrower set.
-        """
-        declared = self.registry.dependencies(endpoint)
-        generation = self.registry.registration_generation(endpoint)
-        with self._lock:
-            entry = self._dependency_overlay.get(endpoint)
-            if entry is not None and entry[0] != generation:
-                del self._dependency_overlay[endpoint]
-                entry = None
-        overlaid = entry[1] if entry is not None else None
-        if declared is None and overlaid is None:
-            return None
-        return (declared or frozenset()) | (overlaid or frozenset())
-
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
@@ -1279,8 +1191,9 @@ class ExecutionEngine:
     def _key(self, endpoint: str, request: ProviderRequest) -> RequestKey:
         """The request key of one fetch through this engine, keyed on the
         endpoint's registered context declaration."""
+        registration = self.registry.registration(endpoint)
         return request_key(
-            endpoint, request, self.registry.context_fields(endpoint)
+            endpoint, request, registration.context if registration else None
         )
 
     def _memo_stack(self) -> list[dict]:
@@ -1414,7 +1327,8 @@ class ExecutionEngine:
         if stamp.domains is None or current.domains is None:
             return self._drop(key)
         endpoint = key[0]
-        deps = self.dependencies_for(endpoint)
+        registration = self.registry.registration(endpoint)
+        deps = registration.domains if registration else None
         if deps is None:
             return self._drop(key)
         moved = {
@@ -1427,7 +1341,7 @@ class ExecutionEngine:
             return True
         if moved - PATCHABLE_DOMAINS or stamp.offset is None:
             return self._drop(key)
-        patcher = self.registry.patcher(endpoint)
+        patcher = registration.patcher
         if patcher is None:
             return self._drop(key)
         records, next_offset, truncated = store.events.since(stamp.offset)

@@ -2,7 +2,8 @@
 
 The Humboldt spec names providers' endpoints as URIs (the paper shows
 ``/api/metadata/...`` style endpoints; we use ``scheme://name``).  The
-registry resolves those URIs to callables.  The UI never imports provider
+registry resolves those URIs to :class:`Registration` records: the
+callable plus what it declares about itself.  The UI never imports provider
 implementations — it only ever resolves endpoints named by the spec, which
 is the decoupling the paper's design goals demand.
 """
@@ -10,21 +11,22 @@ is the decoupling the paper's design goals demand.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass, replace as _replace
 from typing import Iterable, Iterator
 
-from repro.catalog.domains import coerce_domains
+from repro.catalog.domains import PATCHABLE_DOMAINS, coerce_domains
 from repro.errors import DuplicateEntityError, ProviderError
 from repro.providers.base import (
+    CONTEXT_ATTR,
+    DEPENDENCIES_ATTR,
+    ESTIMATOR_ATTR,
+    PATCHER_ATTR,
     Endpoint,
     Estimator,
     ProviderRequest,
     ProviderResult,
     ResultPatcher,
     coerce_context_fields,
-    declared_context,
-    declared_dependencies,
-    declared_estimator,
-    declared_patcher,
 )
 
 _URI_RE = re.compile(r"^(?P<scheme>[a-z][a-z0-9+.-]*)://(?P<path>[A-Za-z0-9_./-]+)$")
@@ -40,35 +42,56 @@ def parse_endpoint_uri(uri: str) -> tuple[str, str]:
     return (match.group("scheme"), match.group("path"))
 
 
+@dataclass(frozen=True, slots=True)
+class Registration:
+    """One endpoint's contract, resolved once when it is registered.
+
+    ``None`` in an optional field means "not declared" and selects the
+    conservative behaviour (see ``docs/execution.md``, "Registration
+    records"): invalidation on any write, no estimate, drop-and-refetch,
+    a request key on every context field.  Re-registering a URI builds a
+    fresh record, so nothing declared for the old callable carries over.
+    """
+
+    endpoint: Endpoint
+    dependencies: frozenset[str] | None = None
+    spec_dependencies: frozenset[str] = frozenset()
+    estimator: Estimator | None = None
+    patcher: ResultPatcher | None = None
+    context: frozenset[str] | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("endpoint", "estimator", "patcher"):
+            value = getattr(self, name)
+            if value is not None and not callable(value):
+                raise TypeError(f"{name} {value!r} is not callable")
+        if self.patcher is not None and self.dependencies is not None and not (
+            self.dependencies & PATCHABLE_DOMAINS
+        ):
+            raise ValueError(
+                f"a patcher never runs for an endpoint depending on "
+                f"{sorted(self.dependencies)}; declare one of "
+                f"{sorted(PATCHABLE_DOMAINS)} or drop the patcher"
+            )
+
+    @property
+    def domains(self) -> frozenset[str] | None:
+        """Every domain the endpoint's answer reads: its own declaration
+        plus the installed spec's; ``None`` when neither declares any."""
+        if not self.spec_dependencies:
+            return self.dependencies
+        return (self.dependencies or frozenset()) | self.spec_dependencies
+
+
 class EndpointRegistry:
-    """Maps endpoint URIs to fetch callables."""
+    """Maps endpoint URIs to their :class:`Registration` records."""
 
     def __init__(self) -> None:
-        self._endpoints: dict[str, Endpoint] = {}
-        # Declared metadata-domain dependencies per uri.  Absent uri means
-        # undeclared: the execution layer then conservatively invalidates
-        # that endpoint's cached results on any catalog write.
-        self._dependencies: dict[str, frozenset[str]] = {}
-        # Declared cardinality estimators per uri.  Absent uri means the
-        # endpoint offers no estimate; the query planner then treats its
-        # result size as unknown and orders it after estimated branches.
-        self._estimators: dict[str, Estimator] = {}
-        # Declared cache delta patchers per uri.  Absent uri means the
-        # endpoint cannot patch cached results in place; the execution
-        # layer then drops them on dependent writes (drop-and-refetch).
-        self._patchers: dict[str, ResultPatcher] = {}
-        # Declared request-context fields per uri.  Absent uri means
-        # undeclared: the execution layer then keys the endpoint's
-        # fetches on every context field (user, team and limit).
-        self._context: dict[str, frozenset[str]] = {}
-        # Bumped on every (un)registration; the execution layer keys
-        # cache validity on it so swapping an endpoint drops its results.
+        self._registrations: dict[str, Registration] = {}
+        # Bumped on every change to a registration; the execution layer
+        # stamps cache entries with it so swapping an endpoint (or its
+        # declarations) drops the results cached under the old one.
         self._version = 0
-        # Per-uri stamp of the version at which the current callable was
-        # registered.  Lets the execution layer detect that *this* uri
-        # was swapped (not just that *something* changed) and retire any
-        # dependency declarations overlaid on the previous callable.
-        self._registered_at: dict[str, int] = {}
 
     @property
     def version(self) -> int:
@@ -76,13 +99,13 @@ class EndpointRegistry:
         return self._version
 
     def __len__(self) -> int:
-        return len(self._endpoints)
+        return len(self._registrations)
 
     def __contains__(self, uri: str) -> bool:
-        return uri in self._endpoints
+        return uri in self._registrations
 
     def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._endpoints))
+        return iter(sorted(self._registrations))
 
     def register(
         self,
@@ -97,102 +120,79 @@ class EndpointRegistry:
         """Register *endpoint* under *uri*.
 
         Re-registration must be explicit (``replace=True``) so tests catch
-        accidental double-installs.
-
-        *dependencies* names the metadata domains the endpoint reads (see
-        :mod:`repro.catalog.domains`).  When omitted, the declaration is
-        auto-discovered from a :func:`~repro.providers.base.depends_on`
-        decoration on the endpoint; with neither, the endpoint is treated
-        as depending on everything (conservative invalidation).
-
-        *estimator* predicts the endpoint's result cardinality for a
-        request without fetching (see :func:`~repro.providers.base.
-        estimates_with`, the decorator equivalent).  When omitted, it is
-        auto-discovered from the endpoint's decoration; with neither, the
-        planner treats the endpoint's cardinality as unknown.
-
-        *patcher* updates the endpoint's cached results in place from
-        write-ahead event records (see :func:`~repro.providers.base.
-        patches_with`).  When omitted, it is auto-discovered from the
-        endpoint's decoration; with neither, dependent writes drop the
-        endpoint's cached results instead of patching them.
-
-        *context* names the :class:`~repro.providers.base.RequestContext`
-        fields (``user_id``, ``team_id``, ``limit``) that can change the
-        endpoint's answer; the execution engine keys fetches on those
-        only (see :func:`~repro.providers.base.reads_context`, the
-        decorator equivalent).  When omitted, it is auto-discovered from
-        the endpoint's decoration; with neither, fetches are keyed on
-        every context field.
+        accidental double-installs.  Each omitted declaration is read from
+        the endpoint's decorator (:func:`~repro.providers.base.depends_on`,
+        :func:`~repro.providers.base.estimates_with`,
+        :func:`~repro.providers.base.patches_with`,
+        :func:`~repro.providers.base.reads_context`); with neither, the
+        :class:`Registration` field stays undeclared.  Raises
+        ``ValueError`` for unknown domains or context fields and for a
+        patcher on an endpoint whose dependencies include no patchable
+        domain, and ``TypeError`` for a non-callable hook.
         """
         parse_endpoint_uri(uri)
-        if uri in self._endpoints and not replace:
+        if uri in self._registrations and not replace:
             raise DuplicateEntityError("endpoint", uri)
         if dependencies is None:
-            deps = declared_dependencies(endpoint)
-        else:
-            deps = coerce_domains(dependencies)
-        if estimator is None:
-            estimator = declared_estimator(endpoint)
-        if patcher is None:
-            patcher = declared_patcher(endpoint)
+            dependencies = getattr(endpoint, DEPENDENCIES_ATTR, None)
         if context is None:
-            fields = declared_context(endpoint)
-        else:
-            fields = coerce_context_fields(context)
-        self._endpoints[uri] = endpoint
-        if deps is None:
-            self._dependencies.pop(uri, None)
-        else:
-            self._dependencies[uri] = deps
-        if estimator is None:
-            self._estimators.pop(uri, None)
-        else:
-            self._estimators[uri] = estimator
-        if patcher is None:
-            self._patchers.pop(uri, None)
-        else:
-            self._patchers[uri] = patcher
-        if fields is None:
-            self._context.pop(uri, None)
-        else:
-            self._context[uri] = fields
+            context = getattr(endpoint, CONTEXT_ATTR, None)
+        self._registrations[uri] = Registration(
+            endpoint,
+            dependencies=(
+                None if dependencies is None else coerce_domains(dependencies)
+            ),
+            estimator=(
+                estimator if estimator is not None
+                else getattr(endpoint, ESTIMATOR_ATTR, None)
+            ),
+            patcher=(
+                patcher if patcher is not None
+                else getattr(endpoint, PATCHER_ATTR, None)
+            ),
+            context=None if context is None else coerce_context_fields(context),
+        )
         self._version += 1
-        self._registered_at[uri] = self._version
 
     def unregister(self, uri: str) -> None:
-        if self._endpoints.pop(uri, None) is not None:
-            self._dependencies.pop(uri, None)
-            self._estimators.pop(uri, None)
-            self._patchers.pop(uri, None)
-            self._context.pop(uri, None)
-            self._registered_at.pop(uri, None)
+        if self._registrations.pop(uri, None) is not None:
             self._version += 1
 
-    def dependencies(self, uri: str) -> frozenset[str] | None:
-        """Declared domains for *uri*; ``None`` when undeclared."""
-        return self._dependencies.get(uri)
+    def registration(self, uri: str) -> Registration | None:
+        """The record registered under *uri*; ``None`` when unregistered."""
+        return self._registrations.get(uri)
 
-    def estimator(self, uri: str) -> Estimator | None:
-        """Declared cardinality estimator for *uri*; ``None`` when absent."""
-        return self._estimators.get(uri)
+    def install_spec_dependencies(
+        self, declarations: Iterable[tuple[str, Iterable[str]]]
+    ) -> None:
+        """Set the spec-declared dependencies of every registered endpoint.
 
-    def patcher(self, uri: str) -> ResultPatcher | None:
-        """Declared cache delta patcher for *uri*; ``None`` when absent."""
-        return self._patchers.get(uri)
-
-    def context_fields(self, uri: str) -> frozenset[str] | None:
-        """Declared request-context fields for *uri*; ``None`` when
-        undeclared (keyed on every field)."""
-        return self._context.get(uri)
-
-    def registration_generation(self, uri: str) -> int:
-        """Version stamp of *uri*'s current registration (0 = never)."""
-        return self._registered_at.get(uri, 0)
+        *declarations* pairs endpoint URIs with a spec's
+        ``ProviderSpec.dependencies``; pairs naming one URI are unioned.
+        They replace the previously installed spec's declarations, and an
+        endpoint the spec declares nothing for keeps only its own.  URIs
+        not registered are skipped.  The version moves only when some
+        record changes, so re-installing the same spec keeps every
+        cached result.
+        """
+        declared: dict[str, frozenset[str]] = {}
+        for uri, domains in declarations:
+            domains = coerce_domains(domains)
+            declared[uri] = declared.get(uri, frozenset()) | domains
+        changed = False
+        for uri, registration in self._registrations.items():
+            spec_dependencies = declared.get(uri, frozenset())
+            if registration.spec_dependencies != spec_dependencies:
+                self._registrations[uri] = _replace(
+                    registration, spec_dependencies=spec_dependencies
+                )
+                changed = True
+        if changed:
+            self._version += 1
 
     def resolve(self, uri: str) -> Endpoint:
         try:
-            return self._endpoints[uri]
+            return self._registrations[uri].endpoint
         except KeyError:
             raise ProviderError(
                 uri, "endpoint not registered (is the provider installed?)"

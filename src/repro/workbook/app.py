@@ -44,9 +44,9 @@ class WorkbookApp:
             install_builtin_endpoints(self.registry, self.providers)
         self.customization = Customization()
         # *engine* lets hosts (e.g. the load harness) hand in a
-        # pre-configured execution layer — custom middlewares, single-
-        # flight toggles, tenant policies; *policy* configures a
-        # newly-built one and is ignored when *engine* is given.
+        # pre-configured execution layer — custom middlewares, a tracer,
+        # an injected clock; *policy* configures a newly-built one and is
+        # ignored when *engine* is given.
         self.interface = DiscoveryInterface(
             store=store,
             registry=self.registry,

@@ -205,7 +205,7 @@ class _Harness:
         uri, request = REQUESTS[index]
         if outcome.result is None:
             return  # an error or a skipped fetch serves nothing
-        truth = self.oracle.fetch(uri, request)
+        truth = self.oracle.execute(uri, request).result
         assert _canon(uri, outcome.result) == _canon(uri, truth), (
             uri, outcome.status
         )
@@ -413,7 +413,7 @@ def test_cache_stays_bounded_under_sustained_writes():
             # Half the reads go to 5 hot keys, half across 97 keys.
             key = step % 5 if step % 2 else (step * 13) % 97
             request = _req({"k": str(key)})
-            served = engine.fetch(uri, request)
+            served = engine.execute(uri, request).result
             assert served == registry.resolve(uri)(request), (uri, step)
         assert engine.cache_size <= 16
     assert engine.stats.total("cache_hits") > 0
@@ -460,7 +460,9 @@ def test_reads_see_every_acknowledged_grant_under_thread_churn():
             badge = badges[(index + step) % len(badges)]
             with lock:
                 expected = set(granted[badge])
-            result = engine.fetch("catalog://badged", _req({"badge": badge}))
+            result = engine.execute(
+                "catalog://badged", _req({"badge": badge})
+            ).result
             missing = expected - set(result.artifact_ids())
             assert not missing, (badge, missing)
 

@@ -25,7 +25,6 @@ from repro.providers.base import (
     CONTEXT_FIELDS,
     ProviderRequest,
     RequestContext,
-    declared_context,
 )
 from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
 from repro.providers.declarative import LookupEndpoint, RuleEndpoint
@@ -93,17 +92,21 @@ class TestDeclarationsPresent:
     def test_every_builtin_and_extended_endpoint_declares(self):
         undeclared = [
             uri for uri in (*_BUILTIN_URIS, *_EXTENDED_URIS)
-            if _REGISTRY.context_fields(uri) is None
+            if _REGISTRY.registration(uri).context is None
         ]
         assert undeclared == []
 
     def test_declarative_endpoints_declare(self):
-        assert _REGISTRY.context_fields("decl://lookup") == {"limit"}
-        assert _REGISTRY.context_fields("decl://rule") == frozenset()
-        assert _REGISTRY.context_fields("decl://rule_usage") == frozenset()
+        assert _REGISTRY.registration("decl://lookup").context == {"limit"}
+        assert _REGISTRY.registration("decl://rule").context == frozenset()
+        assert _REGISTRY.registration("decl://rule_usage").context == frozenset()
 
     def test_member_search_is_fully_keyed(self):
-        assert declared_context(_MemberSearchEndpoint) == set(CONTEXT_FIELDS)
+        registry = EndpointRegistry()
+        registry.register("fed://m/search", _MemberSearchEndpoint(None))
+        assert registry.registration("fed://m/search").context == set(
+            CONTEXT_FIELDS
+        )
 
     def test_builtin_table(self):
         expected = {
@@ -118,11 +121,11 @@ class TestDeclarationsPresent:
         }
         for uri in _BUILTIN_URIS:
             name = uri.removeprefix("catalog://")
-            assert _REGISTRY.context_fields(uri) == expected.get(
+            assert _REGISTRY.registration(uri).context == expected.get(
                 name, set()
             ), uri
         for uri in _EXTENDED_URIS:
-            assert _REGISTRY.context_fields(uri) == {"limit"}, uri
+            assert _REGISTRY.registration(uri).context == {"limit"}, uri
 
 
 class TestUndeclaredFieldsNeverChangeTheAnswer:
@@ -130,7 +133,7 @@ class TestUndeclaredFieldsNeverChangeTheAnswer:
     @settings(max_examples=50, deadline=None)
     @given(inputs=_INPUTS, base=_CONTEXTS, other=_CONTEXTS)
     def test_varying_undeclared_fields(self, uri, inputs, base, other):
-        declared = _REGISTRY.context_fields(uri)
+        declared = _REGISTRY.registration(uri).context
         varied = RequestContext(**{
             name: getattr(base if name in declared else other, name)
             for name in CONTEXT_FIELDS

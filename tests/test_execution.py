@@ -146,7 +146,7 @@ class TestDeclaredContextKeys:
 
     def test_undeclared_endpoint_keeps_the_full_key(self, counting_registry):
         registry, endpoint = counting_registry
-        assert registry.context_fields("x://count") is None
+        assert registry.registration("x://count").context is None
         engine = ExecutionEngine(registry)
         request = _ctx("u-1", "t-1")
         assert engine._key("x://count", request) == request_key(
@@ -163,9 +163,9 @@ class TestDeclaredContextKeys:
         registry.register("x://decorated", decorated)
         registry.register("x://argument", CountingEndpoint(), context=["limit"])
         registry.register("x://override", decorated, context=())
-        assert registry.context_fields("x://decorated") == {"limit"}
-        assert registry.context_fields("x://argument") == {"limit"}
-        assert registry.context_fields("x://override") == frozenset()
+        assert registry.registration("x://decorated").context == {"limit"}
+        assert registry.registration("x://argument").context == {"limit"}
+        assert registry.registration("x://override").context == frozenset()
         with pytest.raises(ValueError):
             registry.register("x://bad", CountingEndpoint(), context=["user"])
         with pytest.raises(ValueError):
@@ -193,8 +193,8 @@ class TestCache:
         registry, endpoint = counting_registry
         engine = ExecutionEngine(registry)
         request = ProviderRequest()
-        first = engine.fetch("x://count", request)
-        second = engine.fetch("x://count", request)
+        first = engine.execute("x://count", request).result
+        second = engine.execute("x://count", request).result
         assert endpoint.calls == 1
         assert first.artifact_ids() == second.artifact_ids()
         assert engine.stats.total("cache_hits") == 1
@@ -203,8 +203,8 @@ class TestCache:
     def test_distinct_requests_both_fetch(self, counting_registry):
         registry, endpoint = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())
-        engine.fetch(
+        engine.execute("x://count", ProviderRequest())
+        engine.execute(
             "x://count", ProviderRequest(context=RequestContext(limit=99))
         )
         assert endpoint.calls == 2
@@ -217,12 +217,12 @@ class TestCache:
             policy=ExecutionPolicy.defaults().replace(cache_ttl_s=10.0),
             timer=lambda: fake_now[0],
         )
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         fake_now[0] = 5.0
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         assert endpoint.calls == 1
         fake_now[0] = 11.0
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         assert endpoint.calls == 2
 
     def test_ttl_zero_disables_caching(self, counting_registry):
@@ -230,8 +230,8 @@ class TestCache:
         engine = ExecutionEngine(
             registry, policy=ExecutionPolicy.defaults().replace(cache_ttl_s=0)
         )
-        engine.fetch("x://count", ProviderRequest())
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         assert endpoint.calls == 2
         assert engine.cache_size == 0
 
@@ -242,7 +242,7 @@ class TestCache:
             policy=ExecutionPolicy.defaults().replace(cache_max_entries=3),
         )
         for limit in range(1, 6):
-            engine.fetch(
+            engine.execute(
                 "x://count",
                 ProviderRequest(context=RequestContext(limit=limit)),
             )
@@ -251,9 +251,9 @@ class TestCache:
     def test_explicit_invalidation(self, counting_registry):
         registry, endpoint = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         engine.invalidate()
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         assert endpoint.calls == 2
 
     def test_per_endpoint_invalidation(self, counting_registry):
@@ -261,11 +261,11 @@ class TestCache:
         other = CountingEndpoint(ids=("b-1",))
         registry.register("x://other", other)
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())
-        engine.fetch("x://other", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
+        engine.execute("x://other", ProviderRequest())
         engine.invalidate("x://other")
-        engine.fetch("x://count", ProviderRequest())
-        engine.fetch("x://other", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
+        engine.execute("x://other", ProviderRequest())
         assert endpoint.calls == 1
         assert other.calls == 2
 
@@ -275,9 +275,10 @@ class TestCache:
         flaky = FlakyEndpoint(inner, fail_on={1}, name="flaky")
         registry.register("x://flaky", flaky)
         engine = ExecutionEngine(registry)
-        with pytest.raises(ProviderError):
-            engine.fetch("x://flaky", ProviderRequest())
-        result = engine.fetch("x://flaky", ProviderRequest())
+        failed = engine.execute("x://flaky", ProviderRequest())
+        assert failed.status is FetchStatus.ERROR
+        assert isinstance(failed.error, ProviderError)
+        result = engine.execute("x://flaky", ProviderRequest()).result
         assert result.artifact_ids() == ["a-1", "a-2"]
 
 
@@ -287,11 +288,11 @@ class TestInvalidationOnMutation:
         endpoint = CountingEndpoint()
         registry.register("x://count", endpoint)
         engine = ExecutionEngine(registry, store=tiny_store)
-        engine.fetch("x://count", ProviderRequest())
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         assert endpoint.calls == 1
         tiny_store.grant_badge("t-web", "endorsed", "u-ann")
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         assert endpoint.calls == 2
 
     def test_usage_event_flushes_cache(self, tiny_store):
@@ -299,18 +300,18 @@ class TestInvalidationOnMutation:
         endpoint = CountingEndpoint()
         registry.register("x://count", endpoint)
         engine = ExecutionEngine(registry, store=tiny_store)
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         tiny_store.record("t-orders", "u-bob", "view")
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         assert endpoint.calls == 2
 
     def test_registry_swap_flushes_cache(self, counting_registry):
         registry, endpoint = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         healed = CountingEndpoint(ids=("z-9",))
         registry.register("x://count", healed, replace=True)
-        result = engine.fetch("x://count", ProviderRequest())
+        result = engine.execute("x://count", ProviderRequest()).result
         assert result.artifact_ids() == ["z-9"]
 
     def test_spec_swap_invalidates(self, tiny_app):
@@ -330,10 +331,10 @@ class TestScope:
             registry, policy=ExecutionPolicy.defaults().replace(cache_ttl_s=0)
         )
         with engine.scope():
-            engine.fetch("x://count", ProviderRequest())
-            engine.fetch("x://count", ProviderRequest())
+            engine.execute("x://count", ProviderRequest())
+            engine.execute("x://count", ProviderRequest())
         assert endpoint.calls == 1
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         assert endpoint.calls == 2  # memo died with the scope
 
 
@@ -444,7 +445,7 @@ class TestRetryMiddleware:
             ),
             sleep=sleeps.append,
         )
-        result = engine.fetch("x://flaky", ProviderRequest())
+        result = engine.execute("x://flaky", ProviderRequest()).result
         assert result.artifact_ids() == ["a-1", "a-2"]
         assert flaky.calls == 2
         assert engine.stats.total("retries") == 1
@@ -462,7 +463,7 @@ class TestRetryMiddleware:
             ),
             sleep=sleeps.append,
         )
-        engine.fetch("x://flaky", ProviderRequest())
+        engine.execute("x://flaky", ProviderRequest())
         assert sleeps == [0.01, 0.02]
 
     def test_attempts_exhausted_raises(self):
@@ -477,8 +478,9 @@ class TestRetryMiddleware:
             ),
             sleep=lambda s: None,
         )
-        with pytest.raises(ProviderError):
-            engine.fetch("x://flaky", ProviderRequest())
+        outcome = engine.execute("x://flaky", ProviderRequest())
+        assert outcome.status is FetchStatus.ERROR
+        assert isinstance(outcome.error, ProviderError)
         assert flaky.calls == 3
         assert engine.stats.total("retries") == 2
 
@@ -494,14 +496,15 @@ class TestRetryMiddleware:
             ),
             sleep=lambda s: None,
         )
-        engine.fetch("catalog://newest", ProviderRequest())  # 60ms spent
+        engine.execute("catalog://newest", ProviderRequest())  # 60ms spent
         # second call times out (60 > 40 remaining) and the retry also
         # times out: ProviderTimeoutError surfaces after both attempts
-        with pytest.raises(ProviderTimeoutError):
-            engine.fetch(
-                "catalog://newest",
-                ProviderRequest(context=RequestContext(limit=5)),
-            )
+        outcome = engine.execute(
+            "catalog://newest",
+            ProviderRequest(context=RequestContext(limit=5)),
+        )
+        assert outcome.status is FetchStatus.ERROR
+        assert isinstance(outcome.error, ProviderTimeoutError)
         assert slow.timed_out == 2
 
     def test_missing_input_not_retried(self, tiny_registry):
@@ -509,8 +512,9 @@ class TestRetryMiddleware:
             tiny_registry,
             policy=ExecutionPolicy.defaults().replace(attempts=5),
         )
-        with pytest.raises(MissingInputError):
-            engine.fetch("catalog://owned_by", ProviderRequest())
+        outcome = engine.execute("catalog://owned_by", ProviderRequest())
+        assert outcome.status is FetchStatus.ERROR
+        assert isinstance(outcome.error, MissingInputError)
         assert engine.stats.total("retries") == 0
 
     def test_wrong_shape_not_retried(self):
@@ -528,8 +532,9 @@ class TestRetryMiddleware:
         engine = ExecutionEngine(
             registry, policy=ExecutionPolicy.defaults().replace(attempts=5)
         )
-        with pytest.raises(RepresentationError):
-            engine.fetch("x://wrong", ProviderRequest())
+        outcome = engine.execute("x://wrong", ProviderRequest())
+        assert outcome.status is FetchStatus.ERROR
+        assert isinstance(outcome.error, RepresentationError)
         assert len(calls) == 1
 
     def test_is_transient_classification(self):
@@ -544,7 +549,7 @@ class TestStats:
     def test_latency_percentiles_present(self, counting_registry):
         registry, _ = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         snap = engine.stats.snapshot()
         latency = snap["endpoints"]["x://count"]["latency_ms"]
         assert set(latency) == {"mean", "p50", "p95", "p99", "max"}
@@ -553,8 +558,8 @@ class TestStats:
     def test_render_is_a_table(self, counting_registry):
         registry, _ = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         text = engine.stats.render()
         assert "x://count" in text
         assert "TOTAL" in text
@@ -563,7 +568,7 @@ class TestStats:
         registry = EndpointRegistry()
         registry.register("x://big", CountingEndpoint(ids=("a", "b", "c")))
         engine = ExecutionEngine(registry)
-        engine.fetch(
+        engine.execute(
             "x://big", ProviderRequest(context=RequestContext(limit=3))
         )
         assert engine.stats.endpoint("x://big").truncations == 1
@@ -572,7 +577,7 @@ class TestStats:
     def test_reset(self, counting_registry):
         registry, _ = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         engine.stats.reset()
         assert engine.stats.total("calls") == 0
 
@@ -716,10 +721,10 @@ class TestStatsSnapshotImmutability:
     def test_snapshot_is_detached_from_later_activity(self, counting_registry):
         registry, _ = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         snap = engine.stats.endpoint("x://count")
         assert snap.calls == 1
-        engine.fetch("x://count", ProviderRequest(
+        engine.execute("x://count", ProviderRequest(
             context=RequestContext(limit=3)
         ))
         assert snap.calls == 1  # not a live view
@@ -728,7 +733,7 @@ class TestStatsSnapshotImmutability:
     def test_snapshot_rejects_mutation(self, counting_registry):
         registry, _ = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         snap = engine.stats.endpoint("x://count")
         with pytest.raises(AttributeError):
             snap.calls = 99
@@ -737,7 +742,7 @@ class TestStatsSnapshotImmutability:
     def test_snapshot_latencies_are_a_tuple_copy(self, counting_registry):
         registry, _ = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         snap = engine.stats.endpoint("x://count")
         assert isinstance(snap.latencies_ms, tuple)
         assert len(snap.latencies_ms) == 1
@@ -768,7 +773,7 @@ class TestBatchDedupCounting:
     def test_duplicate_of_cached_hit_still_counts_as_hit(self, counting_registry):
         registry, endpoint = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())  # prime the cache
+        engine.execute("x://count", ProviderRequest())  # prime the cache
         engine.execute_many([("x://count", ProviderRequest())] * 2)
         assert endpoint.calls == 1
         assert engine.stats.total("cache_hits") == 2
@@ -810,7 +815,7 @@ class TestEngineLifecycle:
         engine.close()
         engine.close()
         # fetches after close still work (pool recreated on demand)
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         assert endpoint.calls == 1
         engine.close()
 
@@ -861,7 +866,7 @@ class TestRemovedFlatPolicyConstructor:
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
 
-    def test_fetch_still_raises_through(self, counting_registry):
+    def test_execute_reports_failure_as_outcome(self, counting_registry):
         registry, _ = counting_registry
         registry.register(
             "x://down",
@@ -869,10 +874,11 @@ class TestRemovedFlatPolicyConstructor:
                           name="down"),
         )
         engine = ExecutionEngine(registry)
-        result = engine.fetch("x://count", ProviderRequest())
+        result = engine.execute("x://count", ProviderRequest()).result
         assert result.artifact_ids() == ["a-1", "a-2"]
-        with pytest.raises(ProviderError):
-            engine.fetch("x://down", ProviderRequest())
+        down = engine.execute("x://down", ProviderRequest())
+        assert down.status is FetchStatus.ERROR
+        assert isinstance(down.error, ProviderError)
 
     def test_no_flat_construction_left_anywhere(self):
         """No module under src/ (execution.py aside) spells the removed
@@ -957,6 +963,91 @@ class TestPolicyKnobTable:
         assert documented == expected
         for knob, (_, value) in expected.items():
             assert type(documented[knob][1]) is type(value), knob
+
+
+class TestRegistrationTable:
+    """``docs/execution.md`` lists every :class:`Registration` field with
+    where it is declared and what its absence means."""
+
+    #: One sample declaration per optional field, as a decorator or a
+    #: ``register`` keyword receives it.
+    SAMPLES = {
+        "dependencies": ("usage",),
+        "estimator": lambda request: 1,
+        "patcher": lambda request, result, records: result,
+        "context": ("limit",),
+    }
+
+    @staticmethod
+    def _documented() -> list[tuple[str, ...]]:
+        doc = Path(__file__).resolve().parent.parent / "docs" / "execution.md"
+        section = doc.read_text(encoding="utf-8").split(
+            "### Registration records", 1
+        )[1].split("\n### ", 1)[0]
+        return [
+            tuple(cell.strip() for cell in match.groups())
+            for match in re.finditer(
+                r"^\| `(\w+)` \|([^|]+)\|([^|]+)\|([^|]+)\|([^|]+)\|$",
+                section,
+                re.MULTILINE,
+            )
+        ]
+
+    def test_rows_are_the_record_fields_in_order(self):
+        from repro.providers.registry import Registration
+
+        names = [row[0] for row in self._documented()]
+        assert names == [f.name for f in dataclasses.fields(Registration)]
+
+    def test_absent_column_states_each_default(self):
+        from repro.providers.registry import Registration
+
+        defaults = {
+            f.name: f.default for f in dataclasses.fields(Registration)
+        }
+        for name, _, _, _, absent in self._documented():
+            if defaults[name] is dataclasses.MISSING:
+                assert absent.startswith("required"), name
+            else:
+                assert absent.startswith(f"`{defaults[name]!r}`:"), name
+
+    def test_decorator_and_kwarg_columns_set_the_field(self):
+        import inspect
+
+        from repro.providers import base
+
+        kwargs = inspect.signature(EndpointRegistry.register).parameters
+        for name, decorator, kwarg, _, _ in self._documented():
+            if kwarg == "—":
+                continue
+            assert kwarg == f"`{name}`" and name in kwargs, name
+            if name == "endpoint":
+                continue
+            sample = self.SAMPLES[name]
+            registry = EndpointRegistry()
+            registry.register("x://kwarg", CountingEndpoint(), **{name: sample})
+            assert getattr(registry.registration("x://kwarg"), name), name
+            assert decorator.startswith("`@"), name
+            decorate = getattr(base, decorator.strip("`@"))
+            wrap = (
+                decorate(*sample) if isinstance(sample, tuple)
+                else decorate(sample)
+            )
+            registry.register("x://decorated", wrap(CountingEndpoint()))
+            assert getattr(registry.registration("x://decorated"), name), name
+
+    def test_spec_key_column_names_provider_spec_fields(self):
+        from repro.core.spec.model import ProviderSpec
+
+        spec_fields = {f.name for f in dataclasses.fields(ProviderSpec)}
+        keys = {
+            name: key.strip("`")
+            for name, _, _, key, _ in self._documented() if key != "—"
+        }
+        assert keys == {
+            "endpoint": "endpoint", "spec_dependencies": "dependencies",
+        }
+        assert set(keys.values()) <= spec_fields
 
 
 class TestCircuitBreaker:
@@ -1277,7 +1368,7 @@ class TestRetryJitter:
             ),
             sleep=sleeps.append,
         )
-        engine.fetch("x://flaky", ProviderRequest())
+        engine.execute("x://flaky", ProviderRequest())
         return sleeps
 
     def test_jitter_perturbs_the_schedule(self):
@@ -1317,6 +1408,6 @@ class TestHealthSurface:
     def test_stats_render_includes_resilience_columns(self, counting_registry):
         registry, _ = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         text = engine.stats.render()
         assert "stale" in text and "dskip" in text and "brej" in text

@@ -9,6 +9,7 @@ endpoints, stores without domain counters), and the headline guarantee:
 no interleaving of mutations and queries ever serves a stale result.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -26,11 +27,11 @@ from repro.catalog.domains import (
     coerce_domains,
 )
 from repro.catalog.model import Artifact, ArtifactType, Team, User
+from repro.core.interface.discovery import DiscoveryInterface
 from repro.providers.base import (
     ProviderRequest,
     RequestContext,
     ScoredArtifact,
-    declared_dependencies,
     depends_on,
     list_result,
 )
@@ -40,6 +41,14 @@ from repro.providers.registry import EndpointRegistry
 from repro.workbook.app import WorkbookApp
 
 from tests.conftest import build_tiny_store
+
+
+def registered(endpoint):
+    """The record *endpoint* gets when registered with no explicit
+    declarations: its decorations, read once by the registry."""
+    registry = EndpointRegistry()
+    registry.register("x://e", endpoint)
+    return registry.registration("x://e")
 
 
 class CountingEndpoint:
@@ -125,12 +134,12 @@ class TestDependencyDeclaration:
         def endpoint(request):
             return list_result([])
 
-        assert declared_dependencies(endpoint) == frozenset(
+        assert registered(endpoint).dependencies == frozenset(
             {DOMAIN_USAGE, DOMAIN_ENTITIES}
         )
 
     def test_undecorated_endpoint_is_undeclared(self):
-        assert declared_dependencies(lambda request: list_result([])) is None
+        assert registered(lambda request: list_result([])).dependencies is None
 
     def test_depends_on_rejects_unknown_domain(self):
         with pytest.raises(ValueError):
@@ -144,35 +153,40 @@ class TestDependencyDeclaration:
             return list_result([])
 
         registry.register("x://lin", endpoint)
-        assert registry.dependencies("x://lin") == frozenset({DOMAIN_LINEAGE})
+        assert registry.registration("x://lin").dependencies == frozenset(
+            {DOMAIN_LINEAGE}
+        )
 
     def test_registry_explicit_dependencies_win(self):
         registry = EndpointRegistry()
         registry.register(
             "x://e", lambda r: list_result([]), dependencies=("membership",)
         )
-        assert registry.dependencies("x://e") == frozenset({"membership"})
+        assert registry.registration("x://e").dependencies == frozenset(
+            {"membership"}
+        )
 
     def test_registry_undeclared_returns_none(self):
         registry = EndpointRegistry()
         registry.register("x://u", lambda r: list_result([]))
-        assert registry.dependencies("x://u") is None
+        assert registry.registration("x://u").dependencies is None
 
     def test_builtin_suite_is_fully_declared(self, tiny_store):
         with WorkbookApp(tiny_store) as app:
             for provider in app.spec.providers:
-                deps = app.engine.dependencies_for(provider.endpoint)
+                deps = app.registry.registration(provider.endpoint).domains
                 assert deps, f"{provider.name} has no declared dependencies"
                 assert deps <= ALL_DOMAINS
 
     def test_spec_declared_dependencies_reach_engine(self, tiny_store):
-        """ProviderSpec.dependencies overlay endpoints with no decorator."""
+        """ProviderSpec.dependencies reach endpoints with no decorator."""
         with WorkbookApp(tiny_store) as app:
-            assert app.engine.dependencies_for("catalog://owned_by") >= frozenset(
+            registration = app.registry.registration("catalog://owned_by")
+            assert registration.domains >= frozenset(
                 {DOMAIN_ENTITIES, DOMAIN_MEMBERSHIP}
             )
 
-    def test_declare_dependencies_unions_with_registry(self):
+    def test_spec_dependencies_union_with_registry(self):
         registry = EndpointRegistry()
 
         @depends_on(DOMAIN_ENTITIES)
@@ -180,9 +194,8 @@ class TestDependencyDeclaration:
             return list_result([])
 
         registry.register("x://e", endpoint)
-        engine = ExecutionEngine(registry)
-        engine.declare_dependencies("x://e", (DOMAIN_USAGE,))
-        assert engine.dependencies_for("x://e") == frozenset(
+        registry.install_spec_dependencies([("x://e", (DOMAIN_USAGE,))])
+        assert registry.registration("x://e").domains == frozenset(
             {DOMAIN_ENTITIES, DOMAIN_USAGE}
         )
 
@@ -219,10 +232,10 @@ class TestInvalidationMatrix:
         mutate, changed = MUTATIONS[label]
         engine, endpoints = build_matrix_engine(store)
         for uri in ENDPOINT_DEPS:
-            engine.fetch(uri, ProviderRequest())
+            engine.execute(uri, ProviderRequest())
         mutate(store)
         for uri in ENDPOINT_DEPS:
-            engine.fetch(uri, ProviderRequest())
+            engine.execute(uri, ProviderRequest())
         for uri, deps in ENDPOINT_DEPS.items():
             should_refetch = deps is None or bool(deps & changed)
             expected_calls = 2 if should_refetch else 1
@@ -235,22 +248,22 @@ class TestInvalidationMatrix:
         """The tentpole scenario: usage traffic must not evict results of
         providers that only depend on entity metadata."""
         engine, endpoints = build_matrix_engine(tiny_store)
-        engine.fetch("x://entities", ProviderRequest())
+        engine.execute("x://entities", ProviderRequest())
         for _ in range(25):
             tiny_store.record("t-orders", "u-ann", "view")
-            engine.fetch("x://entities", ProviderRequest())
+            engine.execute("x://entities", ProviderRequest())
         assert endpoints["x://entities"].calls == 1
         assert engine.stats.total("cache_hits") == 25
 
     def test_invalidations_counter_records_drops(self, tiny_store):
         engine, _ = build_matrix_engine(tiny_store)
         for uri in ENDPOINT_DEPS:
-            engine.fetch(uri, ProviderRequest())
+            engine.execute(uri, ProviderRequest())
         tiny_store.record("t-orders", "u-ann", "view")
         # Entries are checked when read, so nothing is dropped yet.
         assert engine.stats.total("invalidations") == 0
         for uri in ENDPOINT_DEPS:
-            engine.fetch(uri, ProviderRequest())
+            engine.execute(uri, ProviderRequest())
         # usage, mixed and the undeclared endpoint were dropped, once each.
         assert engine.stats.total("invalidations") == 3
         for uri in ("x://usage", "x://mixed", "x://undeclared"):
@@ -261,11 +274,11 @@ class TestInvalidationMatrix:
 class TestConservativeFallback:
     def test_undeclared_endpoint_flushes_on_any_write(self, tiny_store):
         engine, endpoints = build_matrix_engine(tiny_store)
-        engine.fetch("x://undeclared", ProviderRequest())
+        engine.execute("x://undeclared", ProviderRequest())
         tiny_store.record("t-orders", "u-ann", "view")
-        engine.fetch("x://undeclared", ProviderRequest())
+        engine.execute("x://undeclared", ProviderRequest())
         tiny_store.grant_badge("t-orders", "endorsed", "u-ann")
-        engine.fetch("x://undeclared", ProviderRequest())
+        engine.execute("x://undeclared", ProviderRequest())
         assert endpoints["x://undeclared"].calls == 3
 
     def test_store_without_domain_counters_flushes_everything(self):
@@ -282,18 +295,18 @@ class TestConservativeFallback:
         depends_on(DOMAIN_ENTITIES)(endpoint)
         registry.register("x://e", endpoint)
         engine = ExecutionEngine(registry, store=store)
-        engine.fetch("x://e", ProviderRequest())
+        engine.execute("x://e", ProviderRequest())
         store.version += 1  # a "usage-like" write on a legacy store
-        engine.fetch("x://e", ProviderRequest())
+        engine.execute("x://e", ProviderRequest())
         assert endpoint.calls == 2
 
     def test_registry_swap_still_flushes_everything(self, tiny_store):
         engine, endpoints = build_matrix_engine(tiny_store)
         for uri in ENDPOINT_DEPS:
-            engine.fetch(uri, ProviderRequest())
+            engine.execute(uri, ProviderRequest())
         engine.registry.register("x://late", CountingEndpoint())
         for uri in ENDPOINT_DEPS:
-            engine.fetch(uri, ProviderRequest())
+            engine.execute(uri, ProviderRequest())
         assert all(ep.calls == 2 for ep in endpoints.values())
 
 
@@ -334,9 +347,9 @@ class TestMembershipSurvivesUsageWrites:
         )
         engine = ExecutionEngine(registry, store=store)
         request = ProviderRequest(context=RequestContext(limit=1))
-        engine.fetch("x://tables", request)
+        engine.execute("x://tables", request)
         store.record("t-web", "u-cyd", "view")
-        second = engine.fetch("x://tables", request)
+        second = engine.execute("x://tables", request).result
         # entities-only declaration: the entry survived the usage write...
         assert engine.stats.total("cache_hits") == 1
         # ...and can, because it holds every match, not a usage top-1.
@@ -395,7 +408,7 @@ class TestBadgeDeclarations:
         registry = EndpointRegistry()
         install_builtin_endpoints(registry, BuiltinProviders(tiny_store))
         install_extended_endpoints(registry, ExtendedProviders(tiny_store))
-        assert DOMAIN_BADGES in registry.dependencies(uri)
+        assert DOMAIN_BADGES in registry.registration(uri).dependencies
         (spec,) = [p for p in extended_spec().providers if p.endpoint == uri]
         assert DOMAIN_BADGES in spec.dependencies
 
@@ -407,7 +420,7 @@ class TestBadgeDeclarations:
         endpoint = RuleEndpoint(
             tiny_store, [{"field": field, "op": "gte", "value": 1}]
         )
-        assert declared_dependencies(endpoint) == frozenset(
+        assert registered(endpoint).dependencies == frozenset(
             {DOMAIN_ENTITIES, DOMAIN_BADGES}
         )
 
@@ -418,7 +431,7 @@ class TestBadgeDeclarations:
         endpoint = RuleEndpoint(
             tiny_store, [{"field": field, "op": "eq", "value": "table"}]
         )
-        assert DOMAIN_BADGES not in declared_dependencies(endpoint)
+        assert DOMAIN_BADGES not in registered(endpoint).dependencies
 
     def test_grant_refetches_badge_rule_and_keeps_type_rule(self):
         store = build_tiny_store()
@@ -431,61 +444,115 @@ class TestBadgeDeclarations:
         ))
         engine = ExecutionEngine(registry, store=store)
         for uri in ("x://endorsed", "x://tables"):
-            engine.fetch(uri, ProviderRequest())
+            engine.execute(uri, ProviderRequest())
         store.grant_badge("t-web", "endorsed", "u-ann")
-        endorsed = engine.fetch("x://endorsed", ProviderRequest())
-        engine.fetch("x://tables", ProviderRequest())
+        endorsed = engine.execute("x://endorsed", ProviderRequest()).result
+        engine.execute("x://tables", ProviderRequest())
         assert "t-web" in endorsed.artifact_ids()
         assert engine.stats.endpoint("x://endorsed").calls == 2
         assert engine.stats.endpoint("x://tables").calls == 1
 
 
 class TestOverlayLifecycle:
-    """Spec-declared dependency overlays are bound to the registration
-    generation of the callable they described."""
+    """Spec-declared dependencies live on the endpoint's registration
+    record: they describe the callable registered when the spec was
+    installed, and the next installed spec replaces them."""
 
     @staticmethod
     def build_engine(store):
         registry = EndpointRegistry()
         registry.register("x://e", CountingEndpoint())
         engine = ExecutionEngine(registry, store=store)
-        engine.declare_dependencies("x://e", (DOMAIN_ENTITIES,))
+        registry.install_spec_dependencies([("x://e", (DOMAIN_ENTITIES,))])
         return registry, engine
 
     def test_reregistration_retires_spec_overlay(self, tiny_store):
-        registry, engine = self.build_engine(tiny_store)
-        assert engine.dependencies_for("x://e") == frozenset({DOMAIN_ENTITIES})
+        registry, _ = self.build_engine(tiny_store)
+        assert registry.registration("x://e").domains == frozenset(
+            {DOMAIN_ENTITIES}
+        )
         registry.register("x://e", CountingEndpoint(), replace=True)
         # The swapped-in callable declared nothing; it must fall back to
         # conservative invalidation, not inherit its predecessor's set.
-        assert engine.dependencies_for("x://e") is None
+        assert registry.registration("x://e").domains is None
+
+    def test_spec_declarations_reach_the_cache(self, tiny_store):
+        registry, engine = self.build_engine(tiny_store)
+        engine.execute("x://e", ProviderRequest())
+        # The callable declares nothing; the spec's entities-only
+        # declaration is what keeps its entry across a usage write...
+        MUTATIONS["record_view"][0](tiny_store)
+        engine.execute("x://e", ProviderRequest())
+        assert registry.resolve("x://e").calls == 1
+        # ...and what drops it on an entities write.
+        MUTATIONS["add_artifact"][0](tiny_store)
+        engine.execute("x://e", ProviderRequest())
+        assert registry.resolve("x://e").calls == 2
 
     def test_swapped_endpoint_invalidates_conservatively(self, tiny_store):
         registry, engine = self.build_engine(tiny_store)
         swapped = CountingEndpoint(ids=("a-2",))
         registry.register("x://e", swapped, replace=True)
-        engine.fetch("x://e", ProviderRequest())
+        engine.execute("x://e", ProviderRequest())
         tiny_store.record("t-orders", "u-ann", "view")
-        engine.fetch("x://e", ProviderRequest())
-        # A lingering entities-only overlay would have served the cache.
+        engine.execute("x://e", ProviderRequest())
+        # A lingering entities-only declaration would have served the cache.
         assert swapped.calls == 2
 
     def test_redeclaration_after_swap_takes_effect(self, tiny_store):
-        registry, engine = self.build_engine(tiny_store)
+        registry, _ = self.build_engine(tiny_store)
         registry.register("x://e", CountingEndpoint(), replace=True)
-        engine.declare_dependencies("x://e", (DOMAIN_USAGE,))
-        assert engine.dependencies_for("x://e") == frozenset({DOMAIN_USAGE})
+        registry.install_spec_dependencies([("x://e", (DOMAIN_USAGE,))])
+        assert registry.registration("x://e").domains == frozenset(
+            {DOMAIN_USAGE}
+        )
 
-    def test_full_invalidate_clears_overlay(self, tiny_store):
-        _, engine = self.build_engine(tiny_store)
-        engine.invalidate()
-        # The spec-swap path: the next interface re-declares its own deps.
-        assert engine.dependencies_for("x://e") is None
+    def test_spec_swap_clears_old_spec_declarations(self, tiny_store):
+        registry, _ = self.build_engine(tiny_store)
+        # A spec that declares nothing for the endpoint replaces the old
+        # spec's declarations instead of adding to them.
+        registry.install_spec_dependencies([("x://other", (DOMAIN_USAGE,))])
+        assert registry.registration("x://e").domains is None
+
+    def test_interface_spec_swap_replaces_declarations(self, tiny_store):
+        with WorkbookApp(tiny_store) as app:
+            uri = "catalog://owned_by"
+            assert app.registry.registration(uri).spec_dependencies
+            spec = app.spec
+            app.update_spec(dataclasses.replace(spec, providers=tuple(
+                dataclasses.replace(p, dependencies=frozenset())
+                for p in spec.providers
+            )))
+            registration = app.registry.registration(uri)
+            assert registration.spec_dependencies == frozenset()
+            assert registration.domains == registration.dependencies
 
     def test_single_endpoint_invalidate_keeps_overlay(self, tiny_store):
-        _, engine = self.build_engine(tiny_store)
+        registry, engine = self.build_engine(tiny_store)
         engine.invalidate("x://e")
-        assert engine.dependencies_for("x://e") == frozenset({DOMAIN_ENTITIES})
+        engine.invalidate()
+        assert registry.registration("x://e").domains == frozenset(
+            {DOMAIN_ENTITIES}
+        )
+
+    def test_reinstalling_the_same_spec_keeps_warm_entries(self, tiny_store):
+        with WorkbookApp(tiny_store) as app:
+            request = ProviderRequest(inputs={"user": "u-ann"})
+            assert app.engine.execute("catalog://owned_by", request).result
+            version = app.registry.version
+            DiscoveryInterface(
+                tiny_store, app.registry, app.spec, engine=app.engine
+            )
+            assert app.registry.version == version
+            assert app.engine.execute("catalog://owned_by", request).result
+            assert app.stats.endpoint("catalog://owned_by").calls == 1
+
+    def test_changed_spec_declarations_drop_cached_results(self, tiny_store):
+        registry, engine = self.build_engine(tiny_store)
+        engine.execute("x://e", ProviderRequest())
+        registry.install_spec_dependencies([("x://e", (DOMAIN_USAGE,))])
+        engine.execute("x://e", ProviderRequest())
+        assert registry.resolve("x://e").calls == 2
 
 
 #: Queries whose membership is independent of usage traffic; their cached

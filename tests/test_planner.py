@@ -182,7 +182,7 @@ class TestEngineEstimate:
 
         registry.register("test://cached", endpoint)
         request = ProviderRequest()
-        engine.fetch("test://cached", request)
+        engine.execute("test://cached", request)
         calls_before = engine.stats.total("calls")
         assert engine.estimate("test://cached", request) == 1
         assert engine.stats.total("calls") == calls_before  # no fetch happened

@@ -44,7 +44,13 @@ from repro.catalog.model import Artifact, ArtifactType, Team, User, UsageEvent
 from repro.catalog.store import CatalogStore
 from repro.catalog.usage import UsageLog
 from repro.errors import UnknownEntityError
-from repro.providers.base import ProviderRequest, RequestContext
+from repro.providers.base import (
+    ProviderRequest,
+    RequestContext,
+    depends_on,
+    list_result,
+    patches_with,
+)
 from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
 from repro.providers.execution import ExecutionEngine, ExecutionPolicy
 from repro.providers.fields import FieldResolver
@@ -819,3 +825,44 @@ class TestNoStaleUnderStreamingWrites:
             served = engine.execute(uri, request).result
             fresh = registry.resolve(uri)(request)
             _assert_matches_oracle(served, fresh, ordered, uri)
+
+
+class TestPatcherRegistration:
+    """A patcher runs only when a patchable domain moved, so the registry
+    refuses one on an endpoint that reads none."""
+
+    @staticmethod
+    def _patch(request, result, records):
+        return result
+
+    @staticmethod
+    def _endpoint(request):
+        return list_result([])
+
+    @pytest.mark.parametrize("dependencies", [
+        (DOMAIN_ENTITIES,), (DOMAIN_ENTITIES, DOMAIN_TEXT, DOMAIN_BADGES), (),
+    ])
+    def test_patcher_without_patchable_domain_is_rejected(self, dependencies):
+        registry = EndpointRegistry()
+        with pytest.raises(ValueError, match="patcher"):
+            registry.register("x://p", self._endpoint,
+                              dependencies=dependencies, patcher=self._patch)
+        assert "x://p" not in registry
+        assert registry.version == 0
+
+    def test_decorated_patcher_without_patchable_domain_is_rejected(self):
+        endpoint = depends_on(DOMAIN_ENTITIES)(
+            patches_with(self._patch)(lambda request: list_result([]))
+        )
+        with pytest.raises(ValueError, match="patcher"):
+            EndpointRegistry().register("x://p", endpoint)
+
+    @pytest.mark.parametrize("domain", [
+        DOMAIN_USAGE, DOMAIN_LINEAGE, DOMAIN_MEMBERSHIP,
+    ])
+    def test_patcher_with_a_patchable_domain_registers(self, domain):
+        registry = EndpointRegistry()
+        registry.register("x://p", self._endpoint,
+                          dependencies=(DOMAIN_ENTITIES, domain),
+                          patcher=self._patch)
+        assert registry.registration("x://p").patcher is self._patch
