@@ -296,8 +296,9 @@ def _federated_search(args, out) -> int:
             print("note: at least one member filled the fetch limit; "
                   "totals may under-report", file=out)
         if result.degraded:
-            print("note: DEGRADED result — member catalogs failed or "
-                  "answered stale:", file=out)
+            print("note: DEGRADED result — member catalogs or their "
+                  "providers failed, were skipped or answered stale:",
+                  file=out)
             for marker in result.health:
                 print(f"  {marker.provider}: {marker.status}"
                       f"{' — ' + marker.detail if marker.detail else ''}",
@@ -306,7 +307,7 @@ def _federated_search(args, out) -> int:
             _print_trace(ring, out)
         if getattr(args, "stats", False):
             print("\nexecution stats:", file=out)
-            print(discovery.engine.stats.render(), file=out)
+            print(discovery.render_stats(), file=out)
     return 0 if result.total else 1
 
 

@@ -6,11 +6,17 @@ backends — fully-resident in-memory stores and lazily-loaded sqlite
 files side by side — behind the store's read API with
 catalog-qualified ids (see :mod:`repro.federation.refs`).
 
-Cross-catalog search is a fan-out through the execution layer, not a
-bespoke loop: each member owns a full single-catalog query stack
-(registry, engine, evaluator), and the federation registers one
+Each member owns a full single-catalog query stack (registry, engine,
+evaluator).  A search with one target — every single-catalog
+``Discovery.open(source)`` search — calls that member's evaluator
+directly at the caller's limit: its leaves still run under the member
+engine's cache, retries, breakers and deadline budget, and a member
+error degrades the result instead of raising.
+
+A search over two or more targets is a fan-out through the execution
+layer, not a bespoke loop: the federation registers one
 ``fed://<catalog_id>/search`` endpoint per member on its *own*
-registry/engine.  A federated search becomes one
+registry/engine, and the search becomes one
 :meth:`~repro.providers.execution.ExecutionEngine.execute_many` batch,
 so per-member retries, TTL caches, circuit breakers, deadline budgets
 and stale-serving all apply per member for free — one slow or failing
@@ -46,6 +52,7 @@ from repro.core.query.language import QueryLanguage
 from repro.core.query.parser import parse_query
 from repro.core.ranking import Ranker
 from repro.core.spec.model import HumboldtSpec
+from repro.errors import HumboldtError
 from repro.federation.refs import (
     CatalogRef,
     FederationError,
@@ -172,13 +179,15 @@ class _Member:
 class _MemberSearchEndpoint:
     """The fan-out leaf: one member's full scored match list.
 
-    Runs the member's own evaluator at the federation fetch cap so the
-    returned payload is the member's *complete* ranked match list (the
-    global top-k over disjoint members is a subset of the union of the
-    members' lists only when no member pre-truncates below the cap).
-    The result rides the execution layer's normal ``ProviderResult``
+    Runs the member's own evaluator at the federation fetch cap.  The
+    merge needs only each member's top ``limit`` entries, but the
+    federated ``total`` counts the members' returned rows, so a member
+    must return every match up to the cap for ``total`` (and
+    ``truncated``) to mean what a one-target search reports.  The
+    result rides the execution layer's normal ``ProviderResult``
     envelope, so the federation engine can cache, stale-serve and
-    invalidate it like any provider payload.
+    invalidate it like any provider payload.  Used for searches over
+    two or more targets only.
     """
 
     def __init__(self, member: _Member):
@@ -289,7 +298,9 @@ class FederatedCatalog:
         member evaluators running on their *own* engines; giving every
         engine the same tracer instance keeps the whole fan-out in one
         trace (member-side spans parent under the federation's fetch
-        spans via the engine's cross-thread context propagation).
+        spans via the engine's cross-thread context propagation).  A
+        one-target search's member spans sit directly below
+        ``federation.search``.
         Members added later inherit the tracer automatically.
         """
         self._tracer = tracer
@@ -371,6 +382,10 @@ class FederatedCatalog:
         """The underlying store of one member (member-local bare ids)."""
         return self._member(catalog_id).store
 
+    def member_engine(self, catalog_id: str) -> ExecutionEngine:
+        """The engine one member's provider leaves run on."""
+        return self._member(catalog_id).evaluator.engine
+
     @property
     def registry(self) -> EndpointRegistry:
         """The federation-level registry holding the member endpoints."""
@@ -378,7 +393,8 @@ class FederatedCatalog:
 
     @property
     def engine(self) -> ExecutionEngine:
-        """The federation-level execution engine the fan-out runs on."""
+        """The federation-level execution engine the fan-out runs on
+        (a one-target search never touches it; see :meth:`member_engine`)."""
         return self._engine
 
     def _member(self, catalog_id: str) -> _Member:
@@ -496,16 +512,25 @@ class FederatedCatalog:
         budget_ms: float | None = None,
         members: Sequence[str] | None = None,
     ) -> FederatedSearchResult:
-        """Fan *query* out to every member (or just *members*) and merge.
+        """Search every member (or just *members*) and merge.
 
-        One :meth:`ExecutionEngine.execute_many` batch per search: each
-        member fetch runs under its own breaker/retry/cache state and
-        the shared *budget_ms* deadline.  A member that fails, trips its
-        breaker or exhausts the budget is dropped from the merge and the
-        result is flagged ``degraded`` with a per-member health marker —
-        partial answers beat no answer, which is the federation's
-        explicit departure from the single-catalog evaluator's
-        fail-loudly contract.
+        With one target the member's evaluator runs directly, at
+        *limit* and under *budget_ms*: ``total`` is its match count
+        capped at :data:`FETCH_LIMIT`, and its own degradation (a leaf
+        served stale, or skipped by an open breaker or a spent budget)
+        flags the result with that leaf's health marker.
+
+        With two or more targets, one :meth:`ExecutionEngine.
+        execute_many` batch over the ``fed://<id>/search`` endpoints:
+        each member fetch runs under its own breaker/retry/cache state
+        and the shared *budget_ms* deadline.
+
+        Either way, a member that fails (or, fanned out, trips its
+        breaker or exhausts the budget) is dropped from the merge and
+        the result is flagged ``degraded`` with a per-member health
+        marker — partial answers beat no answer, which is the
+        federation's explicit departure from the single-catalog
+        evaluator's fail-loudly contract.
 
         A malformed query is the caller's error, not a member's: it is
         parsed once before the fan-out and raises
@@ -522,7 +547,8 @@ class FederatedCatalog:
             if span:
                 span.set("query", query)
                 span.set("members", ",".join(targets))
-            result = self._search_fanout(
+            search = self._search_one if len(targets) == 1 else self._search_fanout
+            result = search(
                 query,
                 targets,
                 user_id=user_id,
@@ -539,6 +565,64 @@ class FederatedCatalog:
                 if result.truncated:
                     span.set("truncated", True)
             return result
+
+    def _search_one(
+        self,
+        query: str,
+        targets: list[str],
+        *,
+        user_id: str,
+        team_id: str,
+        limit: int,
+        budget_ms: float | None,
+    ) -> FederatedSearchResult:
+        """The one-target search: the member evaluator, no federation hop.
+
+        Returns what :meth:`_search_fanout` returns for the same target
+        — entries, ``total``, ``truncated``, and an error mapped to the
+        ``fed://<id>/search`` marker — plus the member's own degradation.
+        """
+        (catalog_id,) = targets
+        cap = min(limit, FETCH_LIMIT)
+        try:
+            result = self._members[catalog_id].evaluator.search(
+                query,
+                context=RequestContext(
+                    user_id=user_id, team_id=team_id, limit=cap
+                ),
+                limit=cap,
+                budget_ms=budget_ms,
+            )
+        except HumboldtError as exc:
+            marker = ProviderHealth(
+                provider=catalog_id,
+                endpoint=member_search_endpoint_uri(catalog_id),
+                status=FetchStatus.ERROR.value,
+                detail=str(exc),
+            )
+            return FederatedSearchResult(
+                query=query,
+                entries=(),
+                total=0,
+                degraded=True,
+                health=(marker,),
+                failed=(catalog_id,),
+            )
+        return FederatedSearchResult(
+            query=query,
+            entries=tuple(
+                FederatedEntry(
+                    ref=CatalogRef(catalog_id, entry.artifact_id),
+                    score=entry.score,
+                )
+                for entry in result.entries
+            ),
+            total=min(result.total, FETCH_LIMIT),
+            truncated=result.total >= FETCH_LIMIT,
+            degraded=result.degraded,
+            health=result.health,
+            responded=(catalog_id,),
+        )
 
     def _search_fanout(
         self,

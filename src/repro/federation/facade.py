@@ -19,7 +19,11 @@ both shapes of deployment::
 
 A single-catalog ``open(source)`` is just a one-member federation named
 ``main`` — bare artifact ids keep resolving exactly as before, and the
-same object grows to N members without the call sites changing.
+same object grows to N members without the call sites changing.  It
+costs nothing over the bare evaluator: a search with one target calls
+that member's evaluator directly at the caller's limit, and only a
+search over two or more members fans out through the federation
+engine's ``fed://<id>/search`` endpoints.
 """
 
 from __future__ import annotations
@@ -134,12 +138,25 @@ class Discovery:
 
     @property
     def engine(self) -> ExecutionEngine:
-        """The federation-level execution engine (health, stats)."""
+        """The federation-level execution engine (fan-out health, stats)."""
         return self.federation.engine
 
     def render_health(self) -> str:
-        """Per-member endpoint resilience state, human-readable."""
-        return self.federation.engine.render_health()
+        """Endpoint resilience state: the federation engine's table, then
+        each member engine's under its member id."""
+        return self._render_engines(lambda engine: engine.render_health())
+
+    def render_stats(self) -> str:
+        """Execution stats, laid out like :meth:`render_health`."""
+        return self._render_engines(lambda engine: engine.stats.render())
+
+    def _render_engines(self, table) -> str:
+        federation = self.federation
+        sections = [table(federation.engine)]
+        for catalog_id in federation.member_ids():
+            engine = federation.member_engine(catalog_id)
+            sections.append(f"member {catalog_id}:\n{table(engine)}")
+        return "\n\n".join(sections)
 
     def close(self) -> None:
         self.federation.close()

@@ -231,6 +231,32 @@ class TestFederatedSearch:
         assert "federation: 2 members (sales, ml)" in output
         assert "sales:" in output and "ml:" in output
 
+    def test_one_member_stats_show_the_member_engine(self, tmp_path):
+        db = tmp_path / "main.db"
+        code, _ = run_cli(
+            "catalog", "init", "--db", str(db), "--tables", "12",
+            "--events", "50",
+        )
+        assert code == 0
+        code, output = run_cli(
+            "search", "type: table", "--member", f"main={db}", "--stats"
+        )
+        assert code == 0
+        federation, member = output.split("execution stats:")[1].split(
+            "member main:"
+        )
+
+        def total_calls(table: str) -> int:
+            (row,) = [
+                line for line in table.splitlines()
+                if line.startswith("TOTAL")
+            ]
+            return int(row.split()[1])
+
+        # A one-member search runs on the member engine only.
+        assert total_calls(federation) == 0
+        assert total_calls(member) > 0
+
 
 class TestCatalogCommands:
     def _init(self, tmp_path, tables=30, events=200):

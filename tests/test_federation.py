@@ -406,6 +406,12 @@ class TestDiscoveryFacade:
             result = discovery.search("type: table", user_id="u-ann")
             assert result.artifact_ids() == ["main:t-orders"]
             assert discovery.artifact("t-orders").name == "ORDERS"
+            # The search ran on the member engine, and health shows it.
+            federation_table, member_table = discovery.render_health().split(
+                "member main:"
+            )
+            assert "(no fetches recorded)" in federation_table
+            assert "catalog://of_type" in member_table
 
     def test_federated_open_with_default(self):
         left, right = two_member_stores()

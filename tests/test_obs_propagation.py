@@ -214,3 +214,35 @@ class TestFederationFanOut:
         federation.add_member("late", extra)
         member = federation._members["late"]
         assert member.evaluator.engine.tracer is tracer
+
+
+class TestOneMemberSearch:
+    def test_member_search_sits_directly_below_the_federation(self):
+        from repro.federation import Discovery
+
+        store = generate_catalog(SynthConfig(seed=7, n_tables=24))
+        ring = RingBufferExporter()
+        with Discovery.open(store) as discovery:
+            discovery.federation.set_tracer(Tracer(exporters=(ring,)))
+            result = discovery.search("type: table | badged: endorsed", limit=10)
+        assert result.total > 0
+
+        spans = by_name(ring)
+        (root,) = spans["federation.search"]
+        assert root.parent_id is None
+        assert root.attrs["responded"] == 1
+        assert root.attrs["failed"] == 0
+        (member_search,) = spans["query.search"]
+        assert member_search.parent_id == root.span_id
+        assert member_search.trace_id == root.trace_id
+
+        # The member's leaves run on its engine; no federation hop.
+        hops = [
+            s for s in ring.spans()
+            if s.name.startswith(("engine.", "provider."))
+            and s.attrs.get("endpoint", "").startswith("fed://")
+        ]
+        assert hops == []
+        assert spans["provider.invoke"]
+        assert {s.trace_id for s in spans["provider.invoke"]} == {root.trace_id}
+        store.close()
