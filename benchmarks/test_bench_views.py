@@ -4,22 +4,24 @@ Times view generation for every representation from one catalog and
 records the inventory (view type, artifact count, structural facts) that
 corresponds to the Figure 6 montage.
 
-``ViewFactory.build`` memoizes views until the catalog version or clock
-moves, so repeated opens (the warm case) time a memo hit.  The cold
-case writes between rounds — a team-roster write, which none of the six
-providers depends on, so the engine still serves its cached result —
-and times the view build.  Cards come from the factory's card memo,
-which a team write leaves alone, so the cold case ranks and lays out
-the view but re-resolves no card.  The usage-write case records one
-usage event on one artifact between rounds and times the embedding
-overview's rebuild, which re-resolves that artifact's card only.
+``ViewFactory.build`` memoizes views and follows the catalog's event
+log, so repeated opens (the warm case) time a memo hit.  The cold case
+advances the catalog clock between rounds, which drops every memoized
+view (``recency`` and ``freshness`` read the clock) while the engine
+still serves its cached result, and times the view build.  Cards come
+from the factory's card memo, which does not read the clock, so the
+cold case ranks and lays out the view but re-resolves no card.  The
+usage-write cases record one usage event on one shown artifact between
+rounds and time the view's patch: the embedding overview swaps that
+artifact's card, the ``types`` categories view re-scores and re-sorts
+that one row, and the ``joinable`` graph render keeps its layout.
 """
 
 import pytest
 
 from benchmarks.conftest import write_result
+from repro.core.render import render_view_html
 from repro.core.views.factory import ViewFactory
-from repro.providers.base import ProviderRequest
 
 #: representation -> (provider, inputs builder)
 VIEW_CASES = {
@@ -60,10 +62,9 @@ def test_e6_generate_view_cold(benchmark, mid_app, representation):
     store = mid_app.store
     inputs = inputs_fn(store)
     user = store.users()[0]
-    team = store.teams()[0]
 
     def write():
-        store.set_team(team)
+        store.clock.advance(seconds=1)
 
     def build():
         return mid_app.interface.open_view(
@@ -75,25 +76,50 @@ def test_e6_generate_view_cold(benchmark, mid_app, representation):
     assert not view.is_empty()
 
 
-def test_e6_embedding_rebuild_after_usage_write(benchmark, mid_app):
+def _after_usage_write(benchmark, mid_app, provider_name, inputs,
+                       then=lambda view: None):
+    """Time reopening *provider_name*'s view (and *then*) after a usage
+    event on its last shown artifact; the view must equal a fresh
+    factory's build of the same result."""
     interface, store = mid_app.interface, mid_app.store
     user = store.users()[0]
-    artifact = store.by_type("table")[0]
+
+    def build():
+        view = interface.open_view(
+            provider_name, inputs=inputs, user_id=user.id, limit=20
+        )
+        then(view)
+        return view
+
+    artifact = build().artifact_ids()[-1]
 
     def write():
         store.record(artifact, user.id, "view")
 
-    def build():
-        return interface.open_view("embedding_map", user_id=user.id, limit=20)
-
     view = benchmark.pedantic(build, setup=write, rounds=20, iterations=1)
-    provider = interface.spec.provider("embedding_map")
-    result = interface.engine.execute(provider.endpoint, ProviderRequest()).result
+    provider, merged, request = interface.resolve_request(
+        provider_name, inputs, user_id=user.id, limit=20
+    )
+    result = interface.engine.execute(provider.endpoint, request).result
     fresh = ViewFactory(store, interface.spec, interface.ranker).build(
-        provider, result, inputs=view.inputs, limit=20
+        provider, result, inputs=merged, limit=20
     )
     assert repr(view) == repr(fresh)
     assert artifact in view.artifact_ids()
+
+
+def test_e6_embedding_rebuild_after_usage_write(benchmark, mid_app):
+    _after_usage_write(benchmark, mid_app, "embedding_map", {})
+
+
+def test_e6_categories_rebuild_after_usage_write(benchmark, mid_app):
+    _after_usage_write(benchmark, mid_app, "types", {})
+
+
+def test_e6_graph_render_after_usage_write(benchmark, mid_app):
+    inputs = {"artifact": mid_app.store.by_type("table")[0]}
+    _after_usage_write(benchmark, mid_app, "joinable", inputs,
+                       then=render_view_html)
 
 
 def test_e6_write_figure6_table(benchmark, mid_app):

@@ -7,14 +7,17 @@ field values plus the provider's own base score.  All tuning lives in the
 spec, so retuning ranking never touches this module — the paper's point.
 
 Every list entry point (:meth:`Ranker.top_k`, :meth:`Ranker.top_k_items`,
-:meth:`Ranker.rank_items`, :meth:`Ranker.rank_ids`, :meth:`Ranker.order`)
-runs one kernel, ``Ranker._select``: one
+:meth:`Ranker.rank_items`, :meth:`Ranker.rank_ids`, :meth:`Ranker.item_keys`,
+:meth:`Ranker.id_keys`) runs one kernel, ``Ranker._keys``: one
 :meth:`FieldResolver.values_batch` pass, plain-float totals, and sort keys
-``(-score, artifact_id, index)``, fully sorted or heap-selected.  A
-:class:`RankedArtifact` with its per-field contributions is built only for
-the rows an entry point returns: the head for ``top_k``/``top_k_items``,
-every row for ``rank_items``/``rank_ids``, and none for ``order``, which
-category views use to order a whole group while showing a preview.
+``(-score, artifact_id, index)``.  A :class:`RankedArtifact` with its
+per-field contributions is built only for the rows an entry point
+returns, fully sorted or heap-selected: the head for
+``top_k``/``top_k_items``, every row for ``rank_items``/``rank_ids``.
+``item_keys`` and ``id_keys`` return the sort keys themselves, unsorted,
+and ``top_k_items``/``rank_items`` hand them out beside the head: the
+view memo keeps them, so a write re-scores only the rows it touched and
+re-takes the head (``sorted``/``heapq.nsmallest`` over the keys).
 :meth:`Ranker.score` stays the scalar, one-artifact path; the kernel's
 scores, contributions and tie-breaks are bit-identical to it.
 
@@ -31,6 +34,10 @@ from typing import Iterable, Sequence
 from repro.core.spec.model import HumboldtSpec, RankingWeight
 from repro.providers.base import ScoredArtifact
 from repro.providers.fields import FieldResolver
+
+#: A row's sort key, ``(-score, artifact_id, index)``: ascending key order
+#: is rank order, ties broken on the id and then the row's position.
+SortKey = tuple[float, str, int]
 
 
 @dataclass(frozen=True)
@@ -103,14 +110,16 @@ class Ranker:
         weights: Sequence[RankingWeight],
         limit: int,
         live: bool = False,
+        keys: "list[SortKey] | None" = None,
     ) -> list[RankedArtifact]:
         """:meth:`rank_items` truncated to *limit*, heap-selected.
 
         ``limit <= 0`` falls back to the full sort — an uncapped caller
-        needs every entry ranked anyway.
+        needs every entry ranked anyway.  *keys*, when given, is extended
+        with every row's sort key (as :meth:`item_keys` returns them).
         """
         return self._ranked_items(
-            items, weights, limit if limit > 0 else None, live
+            items, weights, limit if limit > 0 else None, live, keys
         )
 
     def rank_items(
@@ -118,6 +127,7 @@ class Ranker:
         items: Iterable[ScoredArtifact],
         weights: Sequence[RankingWeight],
         live: bool = False,
+        keys: "list[SortKey] | None" = None,
     ) -> list[RankedArtifact]:
         """Rank provider items; ties break on artifact id for determinism.
 
@@ -127,8 +137,9 @@ class Ranker:
         truncated on snapshot values would pin stale usage numbers into
         its visible head.  Snapshots still win for provider-computed
         fields the resolver cannot serve (e.g. per-item match counts).
+        *keys* is as for :meth:`top_k_items`.
         """
-        return self._ranked_items(items, weights, None, live)
+        return self._ranked_items(items, weights, None, live, keys)
 
     def rank_ids(
         self, artifact_ids: Iterable[str], weights: Sequence[RankingWeight]
@@ -137,19 +148,63 @@ class Ranker:
         ids = list(artifact_ids)
         return self._ranked(ids, weights, [0.0] * len(ids), None, None)
 
-    def order(
-        self, artifact_ids: Iterable[str], weights: Sequence[RankingWeight]
-    ) -> list[tuple[str, float]]:
-        """``(artifact_id, score)`` pairs in :meth:`rank_ids` order.
+    def item_keys(
+        self,
+        items: Iterable[ScoredArtifact],
+        weights: Sequence[RankingWeight],
+        live: bool = False,
+    ) -> list[SortKey]:
+        """Every item's sort key, unsorted; the index is the item's
+        position in *items*.  ``sorted`` of them is :meth:`rank_items`
+        order, ``heapq.nsmallest(k, ...)`` the head :meth:`top_k_items`
+        returns."""
+        items = list(items)
+        keys, _ = self._keys(
+            [item.artifact_id for item in items],
+            weights,
+            [item.score for item in items],
+            self._snapshots(items, weights, live),
+        )
+        return keys
 
-        For callers that need the whole ordering but display only a
-        head (category views): no breakdown is built for any row.
-        """
+    def id_keys(
+        self, artifact_ids: Iterable[str], weights: Sequence[RankingWeight]
+    ) -> list[SortKey]:
+        """:meth:`item_keys` for bare ids (base score 0)."""
         ids = list(artifact_ids)
-        keys, _ = self._select(ids, weights, [0.0] * len(ids), None, None)
-        return [(aid, -negated) for negated, aid, _ in keys]
+        keys, _ = self._keys(ids, weights, [0.0] * len(ids), None)
+        return keys
 
     # -- the scoring kernel ---------------------------------------------------
+
+    def _snapshots(
+        self,
+        items: list[ScoredArtifact],
+        weights: Sequence[RankingWeight],
+        live: bool,
+    ) -> "list[dict[str, float]] | None":
+        """The items' attached field values the kernel reads (see
+        :meth:`rank_items` on *live*)."""
+        # Snapshots keep only numeric, non-bool weight fields (minus the
+        # live-served ones); nothing else is ever read.
+        kept = [
+            field
+            for field in dict.fromkeys(w.field for w in weights)
+            if not (live and self.resolver.serves(field))
+        ]
+        if not kept:
+            return None
+        snapshots = []
+        for item in items:
+            snapshot = {}
+            for field in kept:
+                value = item.fields.get(field)
+                if isinstance(value, (int, float)) and not isinstance(
+                    value, bool
+                ):
+                    snapshot[field] = float(value)
+            snapshots.append(snapshot)
+        return snapshots
 
     def _ranked_items(
         self,
@@ -157,30 +212,13 @@ class Ranker:
         weights: Sequence[RankingWeight],
         limit: int | None,
         live: bool,
+        every: "list[SortKey] | None" = None,
     ) -> list[RankedArtifact]:
-        # Snapshots keep only numeric, non-bool weight fields (minus the
-        # live-served ones); nothing else is ever read.
         items = list(items)
-        kept = [
-            field
-            for field in dict.fromkeys(w.field for w in weights)
-            if not (live and self.resolver.serves(field))
-        ]
-        snapshots = None
-        if kept:
-            snapshots = []
-            for item in items:
-                snapshot = {}
-                for field in kept:
-                    value = item.fields.get(field)
-                    if isinstance(value, (int, float)) and not isinstance(
-                        value, bool
-                    ):
-                        snapshot[field] = float(value)
-                snapshots.append(snapshot)
         ids = [item.artifact_id for item in items]
         bases = [item.score for item in items]
-        return self._ranked(ids, weights, bases, snapshots, limit)
+        snapshots = self._snapshots(items, weights, live)
+        return self._ranked(ids, weights, bases, snapshots, limit, every)
 
     def _ranked(
         self,
@@ -189,10 +227,17 @@ class Ranker:
         bases: list[float],
         snapshots: "list[dict[str, float]] | None",
         limit: int | None,
+        every: "list[SortKey] | None" = None,
     ) -> list[RankedArtifact]:
         """The selected rows as :class:`RankedArtifact` s, breakdowns
-        built for those rows only."""
-        keys, columns = self._select(ids, weights, bases, snapshots, limit)
+        built for those rows only; *every* receives all rows' keys."""
+        keys, columns = self._keys(ids, weights, bases, snapshots)
+        if every is not None:
+            every.extend(keys)
+        if limit is None:
+            keys.sort()
+        else:
+            keys = heapq.nsmallest(limit, keys)
         return [
             RankedArtifact(
                 artifact_id=aid,
@@ -206,21 +251,19 @@ class Ranker:
             for negated, aid, index in keys
         ]
 
-    def _select(
+    def _keys(
         self,
         ids: list[str],
         weights: Sequence[RankingWeight],
         bases: list[float],
         snapshots: "list[dict[str, float]] | None",
-        limit: int | None,
-    ) -> tuple[list[tuple[float, str, int]], dict[str, list[float]]]:
+    ) -> tuple[list[SortKey], dict[str, list[float]]]:
         """Sort keys ``(-score, artifact_id, index)`` plus value columns.
 
         Every entry point ends here.  Totals accumulate ``base + v1*w1 +
         v2*w2 …`` in weight order and round to 6 places exactly like
         :meth:`score`, so scores and tie-breaks are bit-identical to it;
-        the index keeps duplicate ids in input order.  ``limit=None``
-        sorts every key, otherwise the head is heap-selected.
+        the index keeps duplicate ids in input order.
         """
         columns = self._columns(
             ids, list(dict.fromkeys(w.field for w in weights)), snapshots
@@ -236,10 +279,7 @@ class Ranker:
             (-round(total, 6), aid, index)
             for index, (aid, total) in enumerate(zip(ids, totals))
         ]
-        if limit is None:
-            keys.sort()
-            return keys, columns
-        return heapq.nsmallest(limit, keys), columns
+        return keys, columns
 
     def _columns(
         self,

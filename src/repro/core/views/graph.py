@@ -61,6 +61,24 @@ class GraphView(View):
             positions = layouts[seed] = self._spring_layout(seed)
         return dict(positions)
 
+    def patched(
+        self,
+        cards: tuple[ArtifactCard, ...],
+        edges: tuple[GraphViewEdge, ...],
+    ) -> "GraphView":
+        """A copy showing *cards* and *edges*.  The layout reads only the
+        node ids and the edges, so when both are unchanged the copy
+        inherits the positions this view has computed."""
+        view = replace(self, cards=cards, edges=edges)
+        layouts = self.__dict__.get("_layouts")
+        if (
+            layouts
+            and edges == self.edges
+            and view.artifact_ids() == self.artifact_ids()
+        ):
+            view.__dict__["_layouts"] = dict(layouts)
+        return view
+
     def _spring_layout(self, seed: int) -> dict[str, tuple[float, float]]:
         graph = nx.Graph()
         graph.add_nodes_from(self.artifact_ids())

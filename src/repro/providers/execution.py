@@ -78,6 +78,7 @@ from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
     HumboldtError,
+    MissingInputError,
     ProviderError,
 )
 from repro.providers.base import (
@@ -654,6 +655,12 @@ class BreakerState(Enum):
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half-open"
+
+
+#: Errors an endpoint raises because the request was wrong (a team view
+#: asked for by a team-less caller).  They never count as breaker
+#: failures: one caller's bad request must not open the breaker for all.
+CALLER_ERRORS = (MissingInputError,)
 
 
 class CircuitBreaker:
@@ -1454,7 +1461,11 @@ class ExecutionEngine:
             try:
                 result = self._execute(endpoint, request)
             except HumboldtError as exc:
-                self._breaker_record(endpoint, ok=False, breaker=breaker)
+                # A caller error says the request was wrong, not that the
+                # endpoint is down: it answered, so it counts as a success.
+                self._breaker_record(
+                    endpoint, ok=isinstance(exc, CALLER_ERRORS), breaker=breaker
+                )
                 if sp:
                     sp.set("outcome", "error")
                     sp.set("error", type(exc).__name__)

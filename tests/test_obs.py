@@ -27,6 +27,7 @@ from repro.obs import (
     Span,
     TraceContext,
     Tracer,
+    default_registry,
     export_jsonl,
     percentile,
     render_span_tree,
@@ -373,3 +374,23 @@ class TestEngineMetricCatalog:
             for name, info in collected.items()
         }
         assert registered == self._documented()
+
+    def test_process_wide_table_names_every_view_memo_family(self):
+        import repro.core.views.factory  # noqa: F401  (declares them)
+
+        doc = Path(__file__).resolve().parent.parent / "docs" / "observability.md"
+        documented = {
+            name: (kind, (label,))
+            for name, kind, label in re.findall(
+                r"^\| `(views_memo_\w+)` \| (\w+) \| `(\w+)` \|",
+                doc.read_text(encoding="utf-8"),
+                re.MULTILINE,
+            )
+        }
+        registered = {
+            name: (info["type"], info["labelnames"])
+            for name, info in default_registry().collect().items()
+            if name.startswith("views_memo_")
+        }
+        assert registered == documented
+        assert "views_memo_patches" in registered

@@ -274,6 +274,24 @@ class TestFailureContract:
             engine = discovery.federation.member_engine("main")
             assert engine.stats.total("calls") == 0
 
+    def test_caller_errors_do_not_open_the_breaker_for_others(self):
+        """Team-less ``:team_popular()`` searches fail with a caller error
+        (no team to rank for); enough of them to trip the default breaker
+        must leave the endpoint open to a caller who has a team."""
+        store = _small_store()
+        user = next(u.id for u in store.users() if store.teams_of(u.id))
+        team = store.teams_of(user)[0].id
+        with Discovery.open(store) as discovery:
+            for _ in range(5):
+                assert discovery.search(":team_popular()").degraded
+            result = discovery.search(
+                ":team_popular()", user_id=user, team_id=team
+            )
+            engine = discovery.federation.member_engine("main")
+            assert engine.breaker_state("catalog://team_popular").value == "closed"
+        assert not result.degraded
+        assert result.total > 0
+
     def _resilient(self, **knobs) -> tuple[Discovery, SimulationClock]:
         clock = SimulationClock()
         policy = ExecutionPolicy.defaults().replace(

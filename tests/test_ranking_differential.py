@@ -4,11 +4,13 @@ reference.
 The reference is the scalar path: :meth:`Ranker.score` once per
 candidate, then a stable sort on ``(-score, artifact_id)``.  ``top_k``,
 ``top_k_items`` (live and not), ``rank_items``, ``rank_ids`` and
-``order`` run the batched kernel instead, and must agree with it field
+``id_keys`` run the batched kernel instead, and must agree with it field
 for field — score, base score, contributions and order, compared by
 ``repr`` so ``-0.0``/``0.0`` or ``1``/``1.0`` drift would show.  When the
 reference raises (a deleted id whose field only the catalog can
-resolve), the kernel must raise the same error.
+resolve), the kernel must raise the same error.  The sort keys the view
+memo keeps (``item_keys``, ``id_keys``, and every row's key handed out
+through ``keys=``) must sort into the reference's order and scores.
 
 The view-level check replays category groups and list/tile cards of a
 generated catalog against the same reference.  The repository benchmark
@@ -218,7 +220,7 @@ call_st = st.one_of(
               st.integers(-2, 10), st.booleans()),
     st.tuples(st.just("rank_items"), items_st, weights_st, st.booleans()),
     st.tuples(st.just("rank_ids"), ids_st, weights_st),
-    st.tuples(st.just("order"), ids_st, weights_st),
+    st.tuples(st.just("id_keys"), ids_st, weights_st),
 )
 
 
@@ -235,16 +237,23 @@ def check_call(ranker, call):
     elif kind == "top_k_items":
         items, weights, limit, live = args
         want_limit = limit if limit > 0 else None
+        keys = []
         assert_same(
-            lambda: ranker.top_k_items(items, weights, limit, live=live),
+            lambda: ranker.top_k_items(items, weights, limit, live=live,
+                                       keys=keys),
             lambda: ref_items(ranker, items, weights, live)[:want_limit],
         )
+        check_keys(keys, lambda: ranker.item_keys(items, weights, live=live),
+                   lambda: ref_items(ranker, items, weights, live))
     elif kind == "rank_items":
         items, weights, live = args
+        keys = []
         assert_same(
-            lambda: ranker.rank_items(items, weights, live=live),
+            lambda: ranker.rank_items(items, weights, live=live, keys=keys),
             lambda: ref_items(ranker, items, weights, live),
         )
+        check_keys(keys, lambda: ranker.item_keys(items, weights, live=live),
+                   lambda: ref_items(ranker, items, weights, live))
     elif kind == "rank_ids":
         ids, weights = args
         assert_same(
@@ -253,13 +262,23 @@ def check_call(ranker, call):
         )
     else:
         ids, weights = args
-        assert_same(
-            lambda: ranker.order(ids, weights),
-            lambda: [
-                (e.artifact_id, e.score) for e in ref_ids(ranker, ids, weights)
-            ],
-            view=lambda pairs: [(aid, repr(score)) for aid, score in pairs],
-        )
+        check_keys(None, lambda: ranker.id_keys(ids, weights),
+                   lambda: ref_ids(ranker, ids, weights))
+
+
+def check_keys(handed_out, keys_call, want_call):
+    """Unsorted sort keys sort into the reference's ids and scores; keys
+    handed out through ``keys=`` (None: none) equal ``keys_call``'s."""
+    want, want_error = _outcome(want_call)
+    keys, error = _outcome(keys_call)
+    assert error is want_error
+    if want_error is not None:
+        return
+    if handed_out is not None:
+        assert handed_out == keys
+    assert [(aid, repr(-negated)) for negated, aid, _ in sorted(keys)] == [
+        (entry.artifact_id, repr(entry.score)) for entry in want
+    ]
 
 
 @given(

@@ -4,15 +4,18 @@ A memoized build must return exactly what a memo-less build of the same
 provider result returns *now*.  The differential test interleaves
 overview, explore and single-view builds for several users and teams
 with every kind of change that can move a view without changing its
-provider result: usage events, badge grants, artifacts appearing that a
-cached result already names (the catalog's view of a delete, run
-backwards: the store has no delete), owner renames, team roster
-changes, clock advances, host field resolvers (a new field and an
-overridden built-in) reading state outside the catalog, and an endpoint
-whose answer changes without any catalog write.  Each build is compared
-by ``repr`` with a build from a fresh factory, on the in-memory and the
-sqlite backends.  The unit tests below pin each part of the key and the
-stamp on its own.
+provider result: usage events (one at a time, in ``record_events``
+batches and in ``store.stream`` bursts), badge grants, lineage edges,
+artifacts appearing that a cached result already names (the catalog's
+view of a delete, run backwards: the store has no delete), owner
+renames, team roster changes, clock advances, version restores (opaque
+log records), a truncated event log, host field resolvers (a new field
+and an overridden built-in) reading state outside the catalog, and an
+endpoint whose answer changes without any catalog write.  Each build is
+compared by ``repr`` with a build from a fresh factory, on the
+in-memory and the sqlite backends.  The unit tests below pin each part
+of the key, and each way a memoized view follows a write: served as it
+is, patched, or rebuilt.
 """
 
 from __future__ import annotations
@@ -25,16 +28,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.catalog.model import Artifact, ArtifactType
+from repro.catalog.model import Artifact, ArtifactType, UsageEvent
 from repro.catalog.store import CatalogStore
 from repro.core.interface.discovery import DiscoveryInterface
 from repro.core.interface.exploration import ExplorationEngine
 from repro.core.ranking import Ranker
 from repro.core.spec.model import ProviderSpec, RankingWeight, Visibility
 from repro.core.views.factory import ViewFactory
-from repro.errors import RepresentationError
+from repro.core.views.graph import GraphView
+from repro.errors import CatalogError, RepresentationError
 from repro.obs.metrics import default_registry
 from repro.providers.base import (
+    GraphEdge,
     ProviderResult,
     Representation,
     ScoredArtifact,
@@ -176,8 +181,40 @@ class Harness:
     def _usage(self, artifact: int, user: int, action: str) -> None:
         self.store.record(self.artifacts[artifact], self.users[user], action)
 
+    def _batch(self, first: int, user: int) -> None:
+        now = self.store.clock.now()
+        self.store.record_events([
+            UsageEvent(self.artifacts[(first + i) % len(self.artifacts)],
+                       self.users[user], action, now)
+            for i, action in enumerate(("view", "open", "favorite"))
+        ])
+
+    def _stream(self, first: int, user: int) -> None:
+        with self.store.stream(window_s=60.0) as stream:
+            for i in range(4):
+                stream.record(self.artifacts[(first + i) % len(self.artifacts)],
+                              self.users[user], "view")
+
     def _badge(self, artifact: int, badge: str) -> None:
         self.store.grant_badge(self.artifacts[artifact], badge, self.users[0])
+
+    def _lineage(self, src: int, dst: int) -> None:
+        try:
+            self.store.lineage.add_edge(
+                self.artifacts[src], self.artifacts[dst], "derives"
+            )
+        except CatalogError:
+            pass  # a self-edge or a cycle: nothing was written
+
+    def _restore(self) -> None:
+        """Move every counter as a reopen does: opaque log records."""
+        store = self.store
+        store.restore_domain_versions(
+            {domain: v + 1 for domain, v in store.domain_versions.items()}
+        )
+
+    def _truncate(self) -> None:
+        self.store.events.truncate()
 
     def _add(self, index: int) -> None:
         aid = PENDING[index]
@@ -241,8 +278,13 @@ STEP = st.one_of(
     st.tuples(st.just("open"), st.sampled_from(OPENABLE), _user),
     st.tuples(st.just("usage"), _artifact, _user,
               st.sampled_from(("view", "open", "favorite"))),
+    st.tuples(st.just("batch"), _artifact, _user),
+    st.tuples(st.just("stream"), _artifact, _user),
     st.tuples(st.just("badge"), _artifact,
               st.sampled_from(("endorsed", "certified", "deprecated"))),
+    st.tuples(st.just("lineage"), _artifact, _artifact),
+    st.tuples(st.just("restore")),
+    st.tuples(st.just("truncate")),
     st.tuples(st.just("add"), st.integers(0, len(PENDING) - 1)),
     st.tuples(st.just("rename"), _user),
     st.tuples(st.just("membership"), st.integers(0, 1)),
@@ -298,15 +340,149 @@ def test_repeated_builds_are_shared(harness, step):
     assert _twice(harness, step, ("external", 0.0)) > 0
 
 
+def _count(name: str) -> float:
+    return default_registry().counter(name, ("representation",)).total()
+
+
+def _touch(harness, write: str, aid: str) -> None:
+    """One write of kind *write* that names artifact *aid*."""
+    store, user = harness.store, harness.users[1]
+    if write == "usage":
+        store.record(aid, user, "favorite")
+    elif write == "batch":
+        now = store.clock.now()
+        store.record_events([UsageEvent(aid, user, "view", now)] * 3)
+    elif write == "stream":
+        with store.stream(window_s=60.0) as stream:
+            stream.record(aid, user, "open")
+            stream.record(aid, user, "view")
+    else:
+        store.grant_badge(aid, "certified", harness.users[0])
+
+
+WRITES = ("usage", "batch", "stream", "badge")
+
+
+@pytest.mark.parametrize("write", WRITES + ("lineage",))
+def test_untouched_view_is_the_same_instance(harness, write):
+    """A write naming none of a view's artifacts leaves the view as it
+    is: the memo serves the very same instance."""
+    tables = set(harness.store.by_type("table"))
+    outside = next(a for a in harness.store.artifact_ids() if a not in tables)
+    docs = [a for a in harness.store.by_type("document") if a != outside]
+    first = harness.interface.open_view(
+        "of_type", inputs={"artifact_type": "table"}, limit=4
+    )
+    assert outside not in first.artifact_ids()
+    if write == "lineage":
+        harness.store.lineage.add_edge(outside, docs[0], "derives")
+    else:
+        _touch(harness, write, outside)
+    patches = _count("views_memo_patches")
+    again = harness.interface.open_view(
+        "of_type", inputs={"artifact_type": "table"}, limit=4
+    )
+    assert again is first
+    assert _count("views_memo_patches") == patches
+
+
+#: One view per representation whose provider result survives a usage
+#: or badge write (no usage or badge dependency), with its inputs.
+PATCHED = (
+    ("newest", {}),
+    ("of_type", {"artifact_type": "table"}),
+    ("types", {}),
+    ("embedding_map", {}),
+    ("joinable", None),
+    ("lineage", None),
+)
+
+
+@pytest.mark.parametrize("write", WRITES)
+@pytest.mark.parametrize("name,inputs", PATCHED)
+def test_touched_view_is_a_new_equal_view(harness, name, inputs, write):
+    """A write naming a shown artifact patches the view: a new instance,
+    equal to a fresh build (the harness compares every build)."""
+    if inputs is None:
+        inputs = {"artifact": next(
+            aid for aid in harness.store.artifact_ids()
+            if harness.interface.open_view(
+                name, inputs={"artifact": aid}, limit=10
+            ).count() > 1
+        )}
+    first = harness.interface.open_view(name, inputs=inputs, limit=10)
+    shown = first.artifact_ids()[-1]
+    patches, misses = _count("views_memo_patches"), _count("views_memo_misses")
+    _touch(harness, write, shown)
+    again = harness.interface.open_view(name, inputs=inputs, limit=10)
+    assert again is not first
+    assert _count("views_memo_patches") == patches + 1
+    # The one miss is the harness's fresh comparison build.
+    assert _count("views_memo_misses") == misses + 1
+
+
 @pytest.mark.parametrize("between", [
-    ("usage", 0, 1, "view"),
-    ("badge", 0, "certified"),
     ("advance", 1.0),
     ("rename", 0),
+    [("restore",), ("usage", 7, 1, "view")],
+    # The first write's record is lost, so the log cannot explain the
+    # move (a log truncated right after a build is still complete).
+    [("usage", 7, 1, "view"), ("truncate",), ("usage", 7, 1, "view")],
 ])
 def test_catalog_writes_and_clock_rebuild(harness, between):
-    for name in ("most_viewed", "newest", "types"):
-        assert _twice(harness, ("open", name, 0), between) == 0
+    """The writes the memo cannot follow, and clock moves, still rebuild:
+    a clock move, a user record, an opaque record on a card domain or a
+    truncated log drops the entry, and the next build starts afresh.
+    Other writes patch or keep the view (the two tests above)."""
+    for name in ("newest", "types"):
+        harness.run(("open", name, 0))
+        patches = _count("views_memo_patches")
+        before = harness.shared
+        for step in between if isinstance(between, list) else [between]:
+            harness.run(step)
+        harness.run(("open", name, 0))
+        assert harness.shared == before
+        assert _count("views_memo_patches") == patches
+
+
+def test_patched_graph_keeps_its_layout(tiny_store, spec, monkeypatch):
+    """A patch that leaves a graph's node ids and edges as they were
+    carries the computed layout over instead of re-running it."""
+    factory = ViewFactory(tiny_store, spec, Ranker(FieldResolver(tiny_store)))
+    result = ProviderResult(
+        representation=Representation.GRAPH,
+        nodes=("t-orders", "t-customers", "v-orders", "t-late"),
+        edges=(GraphEdge("t-orders", "v-orders", "derives"),
+               GraphEdge("t-customers", "v-orders", "joins", 0.5),
+               GraphEdge("t-late", "t-orders", "joins")),
+    )
+    provider = spec.provider("joinable")
+    first = factory.build(provider, result)
+    assert first.artifact_ids() == ["t-orders", "t-customers", "v-orders"]
+    positions = first.layout()
+    tiny_store.record("t-orders", "u-ann", "view")
+    patched = factory.build(provider, result)
+    assert patched is not first and patched.edges is first.edges
+    assert patched.cards[0].view_count == first.cards[0].view_count + 1
+    calls = []
+    original = GraphView._spring_layout
+
+    def counted(view, seed):
+        calls.append(seed)
+        return original(view, seed)
+
+    monkeypatch.setattr(GraphView, "_spring_layout", counted)
+    assert patched.layout() == positions
+    assert calls == []
+    assert patched.layout() == original(patched, 42)
+    # An appearing node changes the ids and edges: the patch lays out anew.
+    tiny_store.add_artifact(Artifact(
+        id="t-late", name="LATE", artifact_type=ArtifactType.TABLE,
+    ))
+    grown = factory.build(provider, result)
+    assert grown.artifact_ids()[-1] == "t-late" and len(grown.edges) == 3
+    grown.layout()
+    assert calls == [42]
 
 
 def test_appearing_artifact_rebuilds_cached_result(harness):
@@ -376,6 +552,19 @@ def test_memo_is_lru_bounded(factory, spec):
     assert len(factory._memo) == 3
     assert factory.build(provider, results[-1]) is views[-1]
     assert factory.build(provider, results[0]) is not views[0]
+
+
+def test_entries_of_collected_results_are_dropped(factory, spec):
+    """The memo holds results weakly: once no one else holds a result, no
+    build can name it again, and its entry goes at the next insert."""
+    provider = spec.provider("newest")
+    kept = _items("t-orders")
+    factory.build(provider, kept)
+    factory.build(provider, _items("t-customers"))  # collected at once
+    factory.build(provider, _items("t-web"))
+    assert [entry.result() for entry in factory._memo.values()] == [
+        kept, None
+    ]
 
 
 def test_failed_builds_are_not_memoized(factory, spec):
