@@ -36,7 +36,6 @@ from repro.core.query.evaluator import QueryEvaluator
 from repro.core.query.language import QueryLanguage
 from repro.core.ranking import Ranker
 from repro.federation import federate, member_search_endpoint_uri
-from repro.load.workload import query_pool
 from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
 from repro.providers.execution import (
     ExecutionEngine,
@@ -48,6 +47,7 @@ from repro.providers.fields import FieldResolver
 from repro.providers.registry import EndpointRegistry
 from repro.providers.suite import default_spec
 from repro.synth import SynthConfig, generate_catalog
+from repro.synth.workload import query_pool
 from repro.util.clock import SimulationClock
 
 PARTS = 4
@@ -62,6 +62,10 @@ SLOW_SEARCHES = 400
 #: fan-out re-does the same total scoring work in 4 smaller slices plus
 #: a merge, so a small constant bound is the "comparable" claim.
 P50_FACTOR = 4.0
+#: Searches per side in the healthy fan-out (at least; whole rounds of
+#: the query pool, interleaved one for one), so each p50 rests on
+#: enough samples to compare against the 4x bound.
+MIN_HEALTHY_SEARCHES = 250
 
 _rows: dict[str, dict] = {}
 
@@ -93,7 +97,7 @@ def test_bench_federation_healthy_fanout_comparable_p50():
     store = _corpus()
     user_id, team_id = _context(store)
     queries = query_pool(store)
-    rounds = 3 if _smoke() else 10
+    rounds = math.ceil(MIN_HEALTHY_SEARCHES / len(queries))
     no_cache = ExecutionPolicy.defaults().replace(cache_ttl_s=0)
 
     engine = ExecutionEngine(EndpointRegistry(), store=store, policy=no_cache)

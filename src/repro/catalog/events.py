@@ -34,6 +34,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Callable
 
 from repro.catalog.domains import (
@@ -205,9 +206,11 @@ class EventLog:
                 return (), next_offset, True
             if offset == next_offset:
                 return (), next_offset, False
-            skip = offset - self._first_offset
-            records = tuple(self._records)[skip:]
-            return records, next_offset, False
+            # The newest ``next_offset - offset`` records, read from the
+            # right end: a reader a few records behind pays for those,
+            # not for the whole retained window.
+            newest = islice(reversed(self._records), next_offset - offset)
+            return tuple(newest)[::-1], next_offset, False
 
 
 class EventStream:

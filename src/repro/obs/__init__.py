@@ -5,10 +5,10 @@ package: hierarchical request tracing (:class:`Tracer` / :class:`Span`),
 label-aware metrics (:class:`MetricsRegistry`) and exporters (in-memory
 ring buffer, JSONL traces, Prometheus-style text exposition).  The
 execution engine's :class:`~repro.providers.execution.ExecutionStats`
-is a thin view over a :class:`MetricsRegistry`; the load harnesses use
-:func:`percentile` / :func:`summarize_latencies`; no other module may
-grow its own timing or counter state (``tests/test_obs_encapsulation.py``
-enforces this).
+is a thin view over a :class:`MetricsRegistry`; stats views and
+benchmarks use :func:`percentile` / :func:`summarize_latencies`; no
+other module may grow its own timing or counter state
+(``tests/test_obs_encapsulation.py`` enforces this).
 
 Tracing is off by default — engines carry :data:`NOOP_TRACER`, whose
 spans are shared falsy singletons costing a few attribute lookups per

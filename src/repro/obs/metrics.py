@@ -11,11 +11,11 @@ Histograms use fixed bucket boundaries, so p50/p95/p99 come from bucket
 interpolation without storing samples; an optional bounded *exemplar
 window* additionally retains the most recent raw observations for
 callers that need exact recent samples (the engine's per-endpoint
-latency snapshots, the load harness's slowest-op attribution).
+latency snapshots).
 
 Module helpers :func:`percentile` and :func:`summarize_latencies` are
-the one shared implementation of nearest-rank percentiles — load
-harnesses and stats views use these instead of growing private copies
+the one shared implementation of nearest-rank percentiles — stats
+views and benchmarks use these instead of growing private copies
 (enforced by ``tests/test_obs_encapsulation.py``).
 
 **Stability: public** via :mod:`repro.obs`.

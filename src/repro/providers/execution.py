@@ -762,7 +762,8 @@ class ExecutionEngine:
     deadlines) is per-thread and explicitly handed to pool workers by
     :meth:`execute_many`.  Concurrent misses on
     one key are not coalesced: each invokes the provider.  See
-    ``docs/load_testing.md`` for the full contract.
+    "The engine's concurrency contract" in ``docs/execution.md`` for
+    the full contract.
     """
 
     def __init__(

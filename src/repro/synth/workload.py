@@ -99,3 +99,31 @@ def burst_usage(
         user_id = user_ids[index % len(user_ids)]
         timestamp = now - rng.uniform(0.0, within_days) * DAY
         store.record_event(UsageEvent(artifact_id, user_id, "view", timestamp))
+
+
+def query_pool(store: CatalogStore) -> list[str]:
+    """A study-task query mix over *store*, hottest first.
+
+    Derived from the study tasks (T1's endorsed-badge lookup, T3's
+    by-owner workbook search) plus the catalog's own vocabulary — badges,
+    tags, types and owner names in use — so the pool scales with the
+    catalog instead of hard-coding a toy list.
+    """
+    pool: list[str] = [
+        # T1: metadata-based entry point, then the named table itself.
+        "badged: endorsed",
+        "AIRLINES",
+        "type: table",
+        # T3: composed by-owner search.
+        "type: workbook",
+    ]
+    for user in store.users()[:4]:
+        pool.append(f"type: workbook & owned_by: {user.id}")
+    for badge in store.badges_in_use()[:4]:
+        pool.append(f"badged: {badge}")
+        pool.append(f"badged: {badge} & type: table")
+    for tag in store.tags_in_use()[:6]:
+        pool.append(f"tagged: {tag}")
+    pool.extend(["type: dashboard", "type: dataset", "orders", "sales"])
+    # Keep the first occurrence (its hotness rank), drop duplicates.
+    return list(dict.fromkeys(pool))

@@ -43,7 +43,7 @@ class WorkbookApp:
         if registry is None:
             install_builtin_endpoints(self.registry, self.providers)
         self.customization = Customization()
-        # *engine* lets hosts (e.g. the load harness) hand in a
+        # *engine* lets hosts (e.g. a benchmark driver) hand in a
         # pre-configured execution layer — custom middlewares, a tracer,
         # an injected clock; *policy* configures a newly-built one and is
         # ignored when *engine* is given.

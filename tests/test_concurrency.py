@@ -1,7 +1,7 @@
 """Multi-threaded stress tests for the execution engine and sqlite backend.
 
-Regression coverage for the concurrency fixes that the load harness
-(:mod:`repro.load`) flushed out:
+Regression coverage for the concurrency fixes that a multi-threaded
+session workload over one shared engine flushed out:
 
 * ``_breaker_for`` get-then-create minting two breakers for one endpoint,
   and a ``policy`` swap letting an in-flight fetch resurrect a retired
@@ -15,12 +15,14 @@ Regression coverage for the concurrency fixes that the load harness
 * ``SqliteBackend`` parallel readers on per-thread connections.
 
 Plus a free-for-all stress run (fetch / invalidate / policy-swap from
-many threads) with invariants checked after quiescence, and a hypothesis
-interleaving over the sqlite backend with concurrent readers.
+many threads) with invariants checked after quiescence, a hypothesis
+interleaving over the sqlite backend with concurrent readers, and tenant
+isolation of team-hidden overview providers across concurrent sessions.
 """
 
 from __future__ import annotations
 
+import random
 import sys
 import threading
 from dataclasses import replace
@@ -593,6 +595,64 @@ class TestStreamingWritersUnderLoad:
                 fresh = registry.resolve(uri)(request)
                 assert served.artifact_ids() == fresh.artifact_ids(), uri
         engine.close()
+
+
+class TestTenantIsolationUnderLoad:
+    def test_team_hides_stay_per_team_under_concurrent_sessions(self):
+        """Four threads share one ``WorkbookApp`` whose teams each hide a
+        different overview provider, and interleave overview opens,
+        searches and usage writes.  Every overview lacks its own team's
+        hidden provider and still shows every provider hidden only by
+        other teams; no op raises and the engine records no error."""
+        from repro.synth import SynthConfig, generate_catalog
+        from repro.synth.workload import query_pool
+        from repro.workbook.app import WorkbookApp
+
+        store = generate_catalog(SynthConfig(seed=7, n_tables=40))
+        app = WorkbookApp(
+            store, policy=ExecutionPolicy.defaults().replace(max_workers=2)
+        )
+        overview = [p.name for p in app.spec.visible_in("overview")]
+        teams = sorted(t.id for t in store.teams())
+        assert 1 < len(teams) <= len(overview)
+        hidden = dict(zip(teams, overview))
+        for team_id, provider_name in hidden.items():
+            app.customization.team_layer(team_id).hide(provider_name)
+        members = [
+            (user.id, store.teams_of(user.id)[0].id)
+            for user in store.users()
+            if store.teams_of(user.id)
+        ]
+        queries = query_pool(store)
+        artifacts = store.artifact_ids()
+
+        def worker(index: int) -> int:
+            rng = random.Random(index)
+            overviews = 0
+            for step in range(30):
+                user_id, team_id = rng.choice(members)
+                session = app.session(user_id, team_id)
+                if step % 3 == 0:
+                    names = {tab.provider_name for tab in session.open_browse()}
+                    assert hidden[team_id] not in names, team_id
+                    foreign = set(hidden.values()) - {hidden[team_id]}
+                    assert foreign <= names, (team_id, foreign - names)
+                    overviews += 1
+                elif step % 3 == 1:
+                    session.search(rng.choice(queries), limit=20)
+                else:
+                    store.record(rng.choice(artifacts), user_id, "view")
+            return overviews
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            overviews = _hammer(4, worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(overviews) == 4 * 10
+        assert app.stats.total("errors") == 0
+        app.close()
 
 
 class TestViewMemoRaces:

@@ -9,6 +9,9 @@ zero cross-catalog leakage.
 
 from __future__ import annotations
 
+import random
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.catalog.model import Artifact, ArtifactType, Team, User
@@ -29,7 +32,6 @@ from repro.federation import (
     partition_catalog,
     validate_catalog_id,
 )
-from repro.load.workload import query_pool
 from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
 from repro.providers.execution import ExecutionEngine, RequestContext
 from repro.providers.faults import FlakyEndpoint
@@ -37,6 +39,7 @@ from repro.providers.fields import FieldResolver
 from repro.providers.registry import EndpointRegistry
 from repro.providers.suite import default_spec
 from repro.synth import SynthConfig, generate_catalog
+from repro.synth.workload import query_pool, zipf_weights
 from repro.util.clock import DAY, SimulationClock
 
 
@@ -452,20 +455,70 @@ class TestDiscoveryFacade:
         Discovery.open(federation).close()
 
     def test_concurrent_federated_load_has_no_leaks_or_errors(self, corpus):
-        from repro.load import FederatedLoadConfig, run_federated_load
+        """Four threads run seeded searches, qualified-ref lookups and
+        lineage walks through one ``Discovery`` over a 3-member
+        federation.  Every search entry and lineage node is attributed
+        to the member that owns it per the partition, and no op raises."""
+        federation, partition = federate(corpus, 3)
+        queries = query_pool(corpus)
+        refs = [
+            f"{partition.assignment[aid]}:{aid}"
+            for aid in corpus.artifact_ids()
+        ]
+        users = [
+            (user.id, teams[0].id if teams else "")
+            for user in corpus.users()
+            for teams in [corpus.teams_of(user.id)]
+        ]
+        rng = random.Random(7)
+        ref_weights = zipf_weights(len(refs), 1.1)
+        ops = []
+        for _ in range(64):
+            kind = rng.choices(
+                ("search", "artifact", "lineage"), weights=(6, 2.5, 1.5)
+            )[0]
+            arg = (
+                rng.choice(queries) if kind == "search"
+                else rng.choices(refs, weights=ref_weights)[0]
+            )
+            ops.append((kind, arg, *rng.choice(users)))
 
-        report = run_federated_load(
-            corpus,
-            FederatedLoadConfig(sessions=16, ops_per_session=4,
-                                concurrency=4, parts=3),
-        )
-        assert report.errors == 0
-        assert report.leakage_violations == 0
-        assert report.leakage_checks > 0
-        assert report.ops == 16 * 4
-        rendered = report.render()
-        assert "leakage=0" in rendered
-        assert report.to_dict()["parts"] == 3
+        def run(op):
+            """(exception or None, the refs the op returned)"""
+            kind, arg, user_id, team_id = op
+            try:
+                if kind == "search":
+                    result = discovery.search(
+                        arg, user_id=user_id, team_id=team_id, limit=25
+                    )
+                    return None, [entry.ref for entry in result.entries]
+                if kind == "artifact":
+                    _, artifact_id = arg.split(":", 1)
+                    assert discovery.artifact(arg).id == artifact_id
+                    return None, []
+                lineage = discovery.lineage(arg, depth=2)
+                members = discovery.members()
+                return None, [parse_ref(n, members) for n in lineage.nodes]
+            except Exception as exc:  # counted and reported below
+                return exc, []
+
+        with Discovery(federation) as discovery, \
+                ThreadPoolExecutor(max_workers=4) as pool:
+            outcomes = list(pool.map(run, ops))
+        errors = [exc for exc, _ in outcomes if exc is not None]
+        refs_returned = [ref for _, found in outcomes for ref in found]
+        assert len(outcomes) == 64
+        assert errors == []
+        searched = [
+            found for (kind, *_), (_, found) in zip(ops, outcomes)
+            if kind == "search"
+        ]
+        assert sum(map(len, searched)) > 0
+        misattributed = [
+            ref for ref in refs_returned
+            if partition.assignment.get(ref.artifact_id) != ref.catalog_id
+        ]
+        assert misattributed == []
 
     def test_lineage_and_health_surface(self):
         left, right = two_member_stores()

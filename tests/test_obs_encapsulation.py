@@ -12,6 +12,7 @@ types fails here with a pointer at the shared implementation.
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -73,10 +74,19 @@ def test_the_scan_actually_matches_the_old_idioms():
 
 
 def test_obs_owns_the_one_percentile_implementation():
-    from repro.load import federation, harness
-    from repro.obs.metrics import percentile
+    """Parse every ``src/repro`` module: the only function (at any
+    nesting, methods included) named like a percentile is
+    :func:`repro.obs.metrics.percentile`."""
     from repro.providers import execution
 
-    assert harness.percentile is percentile
-    assert federation.percentile is percentile
+    definitions = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and "percentile" in node.name.lower()):
+                definitions.append(
+                    f"{path.relative_to(SRC.parent).as_posix()}:{node.name}"
+                )
+    assert definitions == ["repro/obs/metrics.py:percentile"]
     assert execution.summarize_latencies.__module__ == "repro.obs.metrics"

@@ -4,7 +4,13 @@ import pytest
 
 from repro.catalog.model import ArtifactType
 from repro.synth.generator import SynthConfig, generate_catalog, study_catalog
-from repro.synth.workload import WorkloadConfig, burst_usage, generate_usage, zipf_weights
+from repro.synth.workload import (
+    WorkloadConfig,
+    burst_usage,
+    generate_usage,
+    query_pool,
+    zipf_weights,
+)
 
 
 class TestConfig:
@@ -163,6 +169,17 @@ class TestWorkload:
         stats = tiny_store.usage_stats("t-web")
         assert stats.view_count == before + 6
         assert tiny_store.clock.days_since(stats.last_viewed_at) <= 7.0
+
+    def test_query_pool_leads_with_study_tasks_and_has_no_duplicates(self):
+        store = generate_catalog(SynthConfig(seed=9, n_tables=20,
+                                             usage_events=200))
+        pool = query_pool(store)
+        assert pool[:4] == [
+            "badged: endorsed", "AIRLINES", "type: table", "type: workbook",
+        ]
+        assert len(pool) == len(set(pool))
+        badge = store.badges_in_use()[0]
+        assert f"badged: {badge} & type: table" in pool
 
 
 class TestIngestionRegistry:

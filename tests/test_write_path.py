@@ -180,6 +180,30 @@ class TestEventLog:
         got, next_offset, truncated = log.since(7)
         assert truncated and got == () and next_offset == 1
 
+    def test_since_on_a_wrapped_log_matches_the_whole_window_slice(self):
+        """``since`` reads only the newest records; on a full log that
+        has wrapped (also after a truncate), every offset must return
+        what slicing the whole retained window returned."""
+        log = EventLog(capacity=16)
+        appended = []
+        for round_ in range(2):
+            for i in range(40):
+                record = EntitiesEventRecord(f"a{round_}-{i}")
+                log.append(record)
+                appended.append(record)
+            assert len(log) == 16
+            frontier = len(appended)
+            first = frontier - 16
+            window = tuple(log._records)
+            for offset in range(frontier + 3):
+                got = log.since(offset)
+                if first <= offset <= frontier:
+                    assert got == (window[offset - first:], frontier, False)
+                    assert got[0] == tuple(appended[offset:])
+                else:
+                    assert got == ((), frontier, True), offset
+            log.truncate()
+
 
 # -- the coalescing stream --------------------------------------------------
 
