@@ -19,7 +19,6 @@ from repro.catalog.model import (
     User,
 )
 from repro.catalog.persistence import load_catalog, save_catalog
-from repro.catalog.segments import export_segments, import_segments
 from repro.catalog.store import CatalogStore
 from repro.catalog.usage import UsageLog, UsageStats
 
@@ -38,8 +37,6 @@ __all__ = [
     "UsageLog",
     "UsageStats",
     "User",
-    "export_segments",
-    "import_segments",
     "load_catalog",
     "save_catalog",
 ]

@@ -1,11 +1,10 @@
 """Plain-dict codecs for catalog entities.
 
 Every persistent surface of the catalog — the versioned JSON snapshot
-(:mod:`.persistence`), the segmented JSON-stream export (:mod:`.segments`)
-and the SQLite backend (:mod:`.sqlite_backend`) — stores entities as the
-same plain dictionaries, so a record written by one can always be read by
-another.  Keeping the codecs in one module is what makes that invariant
-cheap to hold.
+(:mod:`.persistence`) and the SQLite backend (:mod:`.sqlite_backend`) —
+stores entities as the same plain dictionaries, so a record written by
+one can always be read by the other.  Keeping the codecs in one module
+is what makes that invariant cheap to hold.
 """
 
 from __future__ import annotations

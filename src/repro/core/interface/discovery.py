@@ -86,13 +86,7 @@ class DiscoveryInterface:
         self.ranker = Ranker(self.resolver)
         self.language = QueryLanguage(spec)
         self.evaluator = QueryEvaluator(store, self.engine, self.language, self.ranker)
-        # The view memo holds about one view per cached provider result.
-        self.factory = ViewFactory(
-            store,
-            spec,
-            self.ranker,
-            max_entries=self.engine.policy.cache.max_entries,
-        )
+        self.factory = ViewFactory(store, spec, self.ranker)
         self.autocompleter = Autocompleter(self.language, store)
         #: (provider, message) pairs skipped during the last overview
         #: generation because their endpoint failed (fault containment).

@@ -64,7 +64,7 @@ from repro.providers.base import (
     ProviderResult,
     Representation,
 )
-from repro.providers.execution import CachePolicy
+from repro.providers.execution import CACHE_MAX_ENTRIES
 
 #: How many preview cards a category group carries.
 CATEGORY_PREVIEW_SIZE = 5
@@ -147,18 +147,12 @@ _MEMO_PATCHES = default_registry().counter(
 class ViewFactory:
     """Builds concrete views from provider results.
 
-    *max_entries* bounds the view memo (least recently used out); the
-    interface passes its engine's ``cache.max_entries``, so the memo
-    holds about one view per cached provider result.
+    The view memo drops its least recently used entries beyond the
+    engine's result-cache bound, so it holds about one view per cached
+    provider result.
     """
 
-    def __init__(
-        self,
-        store: CatalogStore,
-        spec: HumboldtSpec,
-        ranker: Ranker,
-        max_entries: int = CachePolicy.max_entries,
-    ):
+    def __init__(self, store: CatalogStore, spec: HumboldtSpec, ranker: Ranker):
         self.store = store
         self.spec = spec
         self.ranker = ranker
@@ -168,7 +162,6 @@ class ViewFactory:
             )
             for provider in spec.providers
         }
-        self._max_entries = max_entries
         self._lock = threading.Lock()
         self._memo: OrderedDict[tuple, _Entry] = OrderedDict()
         # Keys of entries whose result was collected, appended by the
@@ -263,7 +256,7 @@ class ViewFactory:
             ):
                 self._memo[key] = entry
                 self._memo.move_to_end(key)
-                while len(self._memo) > self._max_entries:
+                while len(self._memo) > CACHE_MAX_ENTRIES:
                     self._memo.popitem(last=False)
 
     def _log(self) -> EventLog | None:
@@ -624,7 +617,7 @@ class ViewFactory:
                             cards[artifact_id] = found
             if score is None:
                 return found
-            return replace(found, score=round(score, 6))
+            return found.with_score(round(score, 6))
 
         return card
 

@@ -247,9 +247,6 @@ class _FederatedStoreView:
                 totals[domain] = totals.get(domain, 0) + value
         return totals
 
-    def domain_version(self, domain: str) -> int:
-        return self.domain_versions[domain]
-
 
 class FederatedCatalog:
     """N member catalogs behind one read/search/lineage surface.

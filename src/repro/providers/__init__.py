@@ -32,31 +32,24 @@ from repro.providers.base import (
 )
 from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
 from repro.providers.execution import (
-    BreakerPolicy,
     BreakerState,
-    CachePolicy,
     Deadline,
-    DeadlinePolicy,
     ExecutionEngine,
     ExecutionPolicy,
     ExecutionStats,
     FetchOutcome,
     FetchStatus,
     ProviderHealth,
-    RetryPolicy,
     request_key,
 )
 from repro.providers.fields import FieldResolver, RANKABLE_FIELDS
 from repro.providers.registry import EndpointRegistry
 
 __all__ = [
-    "BreakerPolicy",
     "BreakerState",
     "BuiltinProviders",
-    "CachePolicy",
     "Category",
     "Deadline",
-    "DeadlinePolicy",
     "EmbeddingPoint",
     "EndpointRegistry",
     "ExecutionEngine",
@@ -66,7 +59,6 @@ __all__ = [
     "FetchStatus",
     "FieldResolver",
     "ProviderHealth",
-    "RetryPolicy",
     "GraphEdge",
     "HierarchyNode",
     "InputSpec",

@@ -35,7 +35,7 @@ naive reproduction scatters per call site:
   **stale-while-revalidate** lets an open breaker or exhausted deadline
   serve an expired cache entry, explicitly marked stale (see
   ``docs/resilience.md``);
-* **middleware** — a retry/backoff policy (jittered, deadline-capped)
+* **middleware** — a retry/backoff policy (deadline-capped)
   composing with :mod:`repro.providers.faults` (transient outages and
   timeouts retry; contract violations do not) and envelope validation at
   the boundary;
@@ -50,24 +50,23 @@ naive reproduction scatters per call site:
   ``provider.invoke``, plus the batch span) when a tracer is installed;
   the default no-op tracer costs nothing.
 
-Configuration is one frozen, engine-wide :class:`ExecutionPolicy`:
-global defaults (:meth:`ExecutionPolicy.defaults`) and per-deployment
-tweaks (:meth:`ExecutionPolicy.replace`).  Fetches uniformly return a
-:class:`FetchOutcome` envelope (ok | error | stale | skipped).  What
-the engine knows about an endpoint — its callable and its declarations —
-is one :class:`~repro.providers.registry.Registration` record, looked up
-once per key, estimate or revalidation.
+Configuration is one frozen, engine-wide :class:`ExecutionPolicy` of
+five knobs: global defaults (:meth:`ExecutionPolicy.defaults`) and
+per-deployment tweaks (:meth:`ExecutionPolicy.replace`).  Fetches
+uniformly return a :class:`FetchOutcome` envelope (ok | error | stale |
+skipped).  What the engine knows about an endpoint — its callable and
+its declarations — is one :class:`~repro.providers.registry.Registration`
+record, looked up once per key, estimate or revalidation.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import zlib
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from dataclasses import replace as _dataclass_replace
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
@@ -395,109 +394,49 @@ CallNext = Callable[[str, ProviderRequest], ProviderResult]
 #: A middleware: observe/transform a call, then delegate to ``call_next``.
 Middleware = Callable[[str, ProviderRequest, CallNext], ProviderResult]
 
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry/backoff knobs of the retry middleware."""
-
-    #: Total invocation attempts per fetch (1 = no retries).
-    attempts: int = 1
-    #: First retry delay; multiplied per subsequent attempt.
-    backoff_base_ms: float = 25.0
-    backoff_multiplier: float = 2.0
-    #: Fractional jitter applied to each delay: a delay *d* becomes
-    #: ``d * (1 ± backoff_jitter)``, deterministically per (endpoint,
-    #: attempt) so tests stay reproducible.  0 disables jitter.
-    backoff_jitter: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.attempts < 1:
-            raise ValueError("attempts must be >= 1")
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ValueError("backoff_jitter must be within [0, 1]")
-
-
-@dataclass(frozen=True)
-class CachePolicy:
-    """Result-cache knobs, including stale-while-revalidate grace."""
-
-    #: Freshness time-to-live in seconds; 0 disables caching.
-    ttl_s: float = 300.0
-    max_entries: int = 2048
-    #: Whether an open breaker / exhausted deadline may serve an expired
-    #: entry (explicitly marked stale) instead of failing outright.
-    serve_stale: bool = True
-    #: How long past its TTL an entry stays servable as stale.
-    stale_grace_s: float = 900.0
-
-
-@dataclass(frozen=True)
-class BreakerPolicy:
-    """Per-endpoint circuit-breaker knobs."""
-
-    enabled: bool = True
-    #: Consecutive fetch failures (post-retry) that trip the breaker.
-    failure_threshold: int = 5
-    #: Seconds an open breaker waits before allowing half-open probes.
-    reset_timeout_s: float = 30.0
-    #: Concurrent probe fetches allowed while half-open.
-    half_open_max_calls: int = 1
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if self.half_open_max_calls < 1:
-            raise ValueError("half_open_max_calls must be >= 1")
-
-
-@dataclass(frozen=True)
-class DeadlinePolicy:
-    """Default request-deadline knobs (engine-wide, not per endpoint)."""
-
-    #: Budget handed to :meth:`ExecutionEngine.deadline` when the caller
-    #: names none; 0 means "no deadline".
-    default_budget_ms: float = 0.0
-
-
-#: Flat knob -> (policy group, field): the flat spelling
-#: :meth:`ExecutionPolicy.replace` accepts next to whole groups.
-_FLAT_KNOBS: dict[str, tuple[str, str]] = {
-    "attempts": ("retry", "attempts"),
-    "backoff_base_ms": ("retry", "backoff_base_ms"),
-    "backoff_multiplier": ("retry", "backoff_multiplier"),
-    "backoff_jitter": ("retry", "backoff_jitter"),
-    "cache_ttl_s": ("cache", "ttl_s"),
-    "cache_max_entries": ("cache", "max_entries"),
-    "serve_stale": ("cache", "serve_stale"),
-    "stale_grace_s": ("cache", "stale_grace_s"),
-    "breaker_enabled": ("breaker", "enabled"),
-    "breaker_failure_threshold": ("breaker", "failure_threshold"),
-    "breaker_reset_timeout_s": ("breaker", "reset_timeout_s"),
-    "breaker_half_open_max_calls": ("breaker", "half_open_max_calls"),
-    "deadline_budget_ms": ("deadline", "default_budget_ms"),
-}
+#: First retry delay; each later retry waits ``BACKOFF_MULTIPLIER`` times
+#: longer (25, 50, 100 ms …), capped by the request's remaining deadline.
+BACKOFF_BASE_MS = 25.0
+BACKOFF_MULTIPLIER = 2.0
+#: Result-cache bound (least recently used out); the view memo shares it.
+CACHE_MAX_ENTRIES = 2048
+#: How long past its TTL an entry stays servable as stale, under an open
+#: breaker or a spent deadline.
+STALE_GRACE_S = 900.0
+#: Seconds an open breaker waits before admitting its one half-open probe.
+BREAKER_RESET_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """Immutable engine configuration: four policy groups plus the
-    fan-out width, each applying to every endpoint and every caller::
+    """Immutable engine configuration, applying to every endpoint and
+    every caller::
 
         policy = ExecutionPolicy.defaults()
         policy = policy.replace(attempts=3, cache_ttl_s=60.0)
 
-    ``replace`` accepts whole groups (``retry=RetryPolicy(...)``) or the
-    flat knob spellings of :data:`_FLAT_KNOBS`, and returns a new policy
-    — instances are frozen and safely shareable.
+    ``replace`` returns a new policy; instances are frozen and safely
+    shareable.  What a deployment has never needed to tune is a module
+    constant instead (``BACKOFF_BASE_MS``, ``CACHE_MAX_ENTRIES``,
+    ``STALE_GRACE_S``, ``BREAKER_RESET_TIMEOUT_S``).
     """
 
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    cache: CachePolicy = field(default_factory=CachePolicy)
-    breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
-    deadline: DeadlinePolicy = field(default_factory=DeadlinePolicy)
+    #: Total invocation attempts per fetch (1 = no retries).
+    attempts: int = 1
+    #: Freshness time-to-live in seconds; 0 disables caching.
+    cache_ttl_s: float = 300.0
+    breaker_enabled: bool = True
+    #: Consecutive fetch failures (post-retry) that trip the breaker.
+    breaker_failure_threshold: int = 5
     #: Thread-pool width for :meth:`ExecutionEngine.execute_many`;
     #: 1 degrades to serial execution.
     max_workers: int = 8
+
+    def __post_init__(self) -> None:
+        if self.attempts < 1:
+            raise ValueError("attempts must be >= 1")
+        if self.breaker_failure_threshold < 1:
+            raise ValueError("breaker_failure_threshold must be >= 1")
 
     @classmethod
     def defaults(cls) -> "ExecutionPolicy":
@@ -507,36 +446,10 @@ class ExecutionPolicy:
             _DEFAULT_POLICY = cls()
         return _DEFAULT_POLICY
 
-    def replace(self, **changes: object) -> "ExecutionPolicy":
-        """A copy with *changes* applied.
-
-        Accepts whole groups (``retry=``, ``cache=``, ``breaker=``,
-        ``deadline=``), ``max_workers=``, or any flat knob from
-        :data:`_FLAT_KNOBS` (``attempts=3``, ``cache_ttl_s=0`` …).  A
-        flat knob applies on top of a group passed in the same call.
-        """
-        by_group: dict[str, dict[str, object]] = {}
-        for knob in [k for k in changes if k in _FLAT_KNOBS]:
-            group_name, field_name = _FLAT_KNOBS[knob]
-            by_group.setdefault(group_name, {})[field_name] = changes.pop(knob)
-        for group_name, kwargs in by_group.items():
-            group = changes.get(group_name, getattr(self, group_name))
-            changes[group_name] = _dataclass_replace(group, **kwargs)
-        return _dataclass_replace(self, **changes)
+    replace = _dataclass_replace
 
 
 _DEFAULT_POLICY: "ExecutionPolicy | None" = None
-
-
-def _jitter_fraction(endpoint: str, attempt: int) -> float:
-    """Deterministic pseudo-random fraction in [-1, 1).
-
-    Keyed on (endpoint, attempt) via CRC32 — Python's ``hash()`` of
-    strings is randomised per process and would make retry schedules
-    unreproducible across runs.
-    """
-    seed = zlib.crc32(f"{endpoint}#{attempt}".encode("utf-8"))
-    return (seed / 0xFFFFFFFF) * 2.0 - 1.0
 
 
 # -- outcomes, health, deadlines ---------------------------------------------
@@ -666,48 +579,43 @@ CALLER_ERRORS = (MissingInputError,)
 class CircuitBreaker:
     """One endpoint's closed → open → half-open state machine.
 
-    Not self-locking: the engine mutates it under its own lock.  Time is
-    whatever the engine's timer says, so simulation-clock engines test
+    An open breaker admits one probe :data:`BREAKER_RESET_TIMEOUT_S`
+    after it tripped; the probe's result closes or re-opens it.  Not
+    self-locking: the engine mutates it under its own lock.  Time is
+    whatever the engine's clock says, so simulation-clock engines test
     every transition without sleeping.
     """
 
-    def __init__(
-        self,
-        failure_threshold: int,
-        reset_timeout_s: float,
-        half_open_max_calls: int = 1,
-    ):
+    def __init__(self, failure_threshold: int):
         self.failure_threshold = failure_threshold
-        self.reset_timeout_s = reset_timeout_s
-        self.half_open_max_calls = half_open_max_calls
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
         self.opened_at = 0.0
-        self._probes_inflight = 0
+        self._probing = False
 
     def allow(self, now: float) -> bool:
         """Whether a fetch may proceed; transitions open → half-open."""
         if self.state is BreakerState.CLOSED:
             return True
         if self.state is BreakerState.OPEN:
-            if now - self.opened_at < self.reset_timeout_s:
+            if now - self.opened_at < BREAKER_RESET_TIMEOUT_S:
                 return False
             self.state = BreakerState.HALF_OPEN
-            self._probes_inflight = 0
-        if self._probes_inflight >= self.half_open_max_calls:
+            self._probing = False
+        if self._probing:
             return False
-        self._probes_inflight += 1
+        self._probing = True
         return True
 
     def record_success(self, now: float) -> None:
         if self.state is BreakerState.HALF_OPEN:
-            self._probes_inflight = max(0, self._probes_inflight - 1)
+            self._probing = False
             self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
 
     def record_failure(self, now: float) -> None:
         if self.state is BreakerState.HALF_OPEN:
-            self._probes_inflight = max(0, self._probes_inflight - 1)
+            self._probing = False
             self._trip(now)
             return
         self.consecutive_failures += 1
@@ -718,7 +626,7 @@ class CircuitBreaker:
         """Seconds until an open breaker admits a probe (0 if not open)."""
         if self.state is not BreakerState.OPEN:
             return 0.0
-        return max(0.0, self.reset_timeout_s - (now - self.opened_at))
+        return max(0.0, BREAKER_RESET_TIMEOUT_S - (now - self.opened_at))
 
     def _trip(self, now: float) -> None:
         self.state = BreakerState.OPEN
@@ -772,26 +680,24 @@ class ExecutionEngine:
         store: "CatalogStore | None" = None,
         policy: ExecutionPolicy | None = None,
         middlewares: Sequence[Middleware] = (),
-        timer: Callable[[], float] = time.perf_counter,
-        sleep: Callable[[float], None] = time.sleep,
         clock: "SimulationClock | None" = None,
         tracer: "Tracer | None" = None,
     ):
         self.registry = registry
         self.store = store
+        self._timer: Callable[[], float] = time.perf_counter
+        self._sleep: Callable[[float], None] = time.sleep
         if clock is not None:
             # A simulation-clock engine: time only moves when something
             # sleeps, so TTLs, breakers and deadlines are deterministic.
-            timer = clock.now
-            sleep = lambda seconds: clock.advance(seconds=seconds)  # noqa: E731
+            self._timer = clock.now
+            self._sleep = lambda seconds: clock.advance(seconds=seconds)
         self.stats = ExecutionStats()
         #: The span source for every instrumented path.  The default is
         #: the shared no-op tracer (falsy spans, no allocation); assign a
         #: real :class:`repro.obs.Tracer` — or call
         #: :meth:`enable_tracing` — to turn tracing on.
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        self._timer = timer
-        self._sleep = sleep
         self._lock = threading.RLock()
         self._breakers: dict[str, CircuitBreaker] = {}
         self._policy = policy if policy is not None else ExecutionPolicy.defaults()
@@ -822,7 +728,7 @@ class ExecutionEngine:
     def enable_tracing(self, *exporters: object) -> Tracer:
         """Build and install a :class:`repro.obs.Tracer` on this engine.
 
-        The tracer runs on the engine's own injectable timer, so a
+        The tracer runs on the engine's own clock, so a
         simulation-clock engine produces exact simulated-time spans.
         Returns the tracer (callers usually also hand it a ring buffer:
         ``tracer = engine.enable_tracing(RingBufferExporter())``).
@@ -841,7 +747,7 @@ class ExecutionEngine:
     def policy(self, policy: ExecutionPolicy) -> None:
         """Swap the policy, resetting the breakers.
 
-        Their thresholds/timeouts were taken from the old policy, and
+        Their thresholds were taken from the old policy, and
         carrying tripped state across a reconfigure would surprise more
         than it protects.  In-flight fetches finish under the old policy
         and their breaker records are discarded (the breaker they gated
@@ -867,13 +773,8 @@ class ExecutionEngine:
     # -- deadlines ---------------------------------------------------------
 
     def deadline(self, budget_ms: float | None = None) -> Deadline | None:
-        """A :class:`Deadline` starting now, or None for "no budget".
-
-        Falls back to the policy's ``deadline.default_budget_ms`` when
-        the caller names no budget; 0 or negative means unbounded.
-        """
-        if budget_ms is None:
-            budget_ms = self._policy.deadline.default_budget_ms
+        """A :class:`Deadline` starting now, or None for "no budget"
+        (``None``, 0 or negative)."""
         if budget_ms is None or budget_ms <= 0:
             return None
         return Deadline(
@@ -1256,10 +1157,10 @@ class ExecutionEngine:
         key: RequestKey,
         result: ProviderResult,
         stamp: _Stamp,
-        cache: CachePolicy,
+        ttl_s: float,
     ) -> None:
-        """Cache *result* under the stamp taken before its fetch, with the
-        *cache* knobs the fetch started under.
+        """Cache *result* under the stamp taken before its fetch, for the
+        *ttl_s* the fetch started under.
 
         A write that landed while the fetch ran is caught when the entry
         is read: the stamp predates it, so the read patches or drops the
@@ -1268,17 +1169,15 @@ class ExecutionEngine:
         stack = self._memo_stack()
         if stack:
             stack[-1][key] = result
-        if cache.ttl_s <= 0:
+        if ttl_s <= 0:
             return
         with self._lock:
-            now = self._timer()
-            fresh_until = now + cache.ttl_s
-            stale_until = fresh_until + (
-                cache.stale_grace_s if cache.serve_stale else 0.0
+            fresh_until = self._timer() + ttl_s
+            self._cache[key] = _CacheEntry(
+                fresh_until, fresh_until + STALE_GRACE_S, result, stamp
             )
-            self._cache[key] = _CacheEntry(fresh_until, stale_until, result, stamp)
             self._cache.move_to_end(key)
-            while len(self._cache) > cache.max_entries:
+            while len(self._cache) > CACHE_MAX_ENTRIES:
                 self._cache.popitem(last=False)
 
     def _stamp(self) -> _Stamp:
@@ -1419,9 +1318,7 @@ class ExecutionEngine:
             now = self._timer()
             if deadline is not None and deadline.expired(now):
                 self.stats.count("deadline_skips", endpoint)
-                stale = self._stale_outcome(
-                    endpoint, key, policy.cache, "deadline exhausted"
-                )
+                stale = self._stale_outcome(endpoint, key, "deadline exhausted")
                 if sp:
                     sp.set("gate", "deadline")
                     sp.set("outcome", "stale" if stale is not None else "skipped")
@@ -1434,15 +1331,13 @@ class ExecutionEngine:
                     reason="deadline exhausted",
                 )
             breaker: CircuitBreaker | None = None
-            if policy.breaker.enabled:
+            if policy.breaker_enabled:
                 allowed, retry_after, breaker = self._breaker_gate(
-                    endpoint, policy.breaker, now
+                    endpoint, policy.breaker_failure_threshold, now
                 )
                 if not allowed:
                     self.stats.count("breaker_rejections", endpoint)
-                    stale = self._stale_outcome(
-                        endpoint, key, policy.cache, "circuit open"
-                    )
+                    stale = self._stale_outcome(endpoint, key, "circuit open")
                     if sp:
                         sp.set("gate", "breaker")
                         sp.set(
@@ -1474,21 +1369,15 @@ class ExecutionEngine:
             finally:
                 stack.pop()
             self._breaker_record(endpoint, ok=True, breaker=breaker)
-            self._remember(key, result, stamp, policy.cache)
+            self._remember(key, result, stamp, policy.cache_ttl_s)
             if sp:
                 sp.set("outcome", "ok")
             return FetchOutcome(endpoint, result=result)
 
     def _stale_outcome(
-        self,
-        endpoint: str,
-        key: RequestKey,
-        cache: CachePolicy,
-        reason: str,
+        self, endpoint: str, key: RequestKey, reason: str
     ) -> FetchOutcome | None:
-        """A stale-while-revalidate outcome, if policy and cache allow."""
-        if not cache.serve_stale:
-            return None
+        """A stale-while-revalidate outcome, if the cache holds one."""
         held = self._lookup_stale(key)
         if held is None:
             return None
@@ -1501,19 +1390,8 @@ class ExecutionEngine:
             reason=f"{reason}; serving cached result {age_s:.0f}s past TTL",
         )
 
-    def _breaker_for(self, endpoint: str, policy: BreakerPolicy) -> CircuitBreaker:
-        """The endpoint's breaker, lazily created (lock held)."""
-        breaker = self._breakers.get(endpoint)
-        if breaker is None:
-            breaker = self._breakers[endpoint] = CircuitBreaker(
-                failure_threshold=policy.failure_threshold,
-                reset_timeout_s=policy.reset_timeout_s,
-                half_open_max_calls=policy.half_open_max_calls,
-            )
-        return breaker
-
     def _breaker_gate(
-        self, endpoint: str, policy: BreakerPolicy, now: float
+        self, endpoint: str, failure_threshold: int, now: float
     ) -> tuple[bool, float, CircuitBreaker]:
         """(allowed, retry_after_s, breaker); transitions open → half-open.
 
@@ -1525,7 +1403,11 @@ class ExecutionEngine:
         trip state.
         """
         with self._lock:
-            breaker = self._breaker_for(endpoint, policy)
+            breaker = self._breakers.get(endpoint)
+            if breaker is None:
+                breaker = self._breakers[endpoint] = CircuitBreaker(
+                    failure_threshold
+                )
             before = breaker.state
             allowed = breaker.allow(now)
             if breaker.state is not before:
@@ -1603,32 +1485,26 @@ class ExecutionEngine:
     def _retry_middleware(
         self, endpoint: str, request: ProviderRequest, call_next: CallNext
     ) -> ProviderResult:
-        """Retry transient failures with jittered, deadline-capped backoff.
+        """Retry transient failures with deadline-capped backoff.
 
         The active request deadline (pushed by :meth:`_run_gated`, so
         worker threads see their own) bounds the schedule two ways: an
         expired deadline stops retrying immediately, and a backoff delay
         never sleeps past the remaining budget.
         """
-        retry = self._policy.retry
+        attempts = self._policy.attempts
         deadline = self._current_deadline()
         attempt = 1
         while True:
             try:
                 return call_next(endpoint, request)
             except ProviderError as exc:
-                if attempt >= retry.attempts or not is_transient(exc):
+                if attempt >= attempts or not is_transient(exc):
                     raise
                 now = self._timer()
                 if deadline is not None and deadline.expired(now):
                     raise
-                delay_ms = retry.backoff_base_ms * (
-                    retry.backoff_multiplier ** (attempt - 1)
-                )
-                if retry.backoff_jitter > 0:
-                    delay_ms *= 1.0 + retry.backoff_jitter * _jitter_fraction(
-                        endpoint, attempt
-                    )
+                delay_ms = BACKOFF_BASE_MS * BACKOFF_MULTIPLIER ** (attempt - 1)
                 if deadline is not None:
                     delay_ms = min(delay_ms, deadline.remaining_ms(now))
                 self.stats.count("retries", endpoint)

@@ -35,7 +35,6 @@ class WorkbookApp:
         spec: HumboldtSpec | None = None,
         registry: EndpointRegistry | None = None,
         policy: ExecutionPolicy | None = None,
-        engine: ExecutionEngine | None = None,
     ):
         self.store = store
         self.registry = registry or EndpointRegistry()
@@ -43,17 +42,12 @@ class WorkbookApp:
         if registry is None:
             install_builtin_endpoints(self.registry, self.providers)
         self.customization = Customization()
-        # *engine* lets hosts (e.g. a benchmark driver) hand in a
-        # pre-configured execution layer — custom middlewares, a tracer,
-        # an injected clock; *policy* configures a newly-built one and is
-        # ignored when *engine* is given.
         self.interface = DiscoveryInterface(
             store=store,
             registry=self.registry,
             spec=spec or default_spec(),
             customization=self.customization,
             policy=policy,
-            engine=engine,
         )
         self.exploration = ExplorationEngine(self.interface)
         self.home_pages = HomePageManager(self.interface)

@@ -50,6 +50,7 @@ from repro.providers.base import (
 )
 from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
 from repro.providers.declarative import RuleEndpoint
+from repro.providers import execution
 from repro.providers.execution import ExecutionEngine, ExecutionPolicy
 from repro.providers.extended import ExtendedProviders, install_extended_endpoints
 from repro.providers.registry import EndpointRegistry
@@ -165,12 +166,7 @@ class _Harness:
             self.registry,
             store=self.store,
             policy=ExecutionPolicy.defaults().replace(
-                cache_ttl_s=TTL_S,
-                serve_stale=True,
-                stale_grace_s=1e9,
-                breaker_failure_threshold=1,
-                breaker_reset_timeout_s=1e9,
-                max_workers=1,
+                cache_ttl_s=TTL_S, breaker_failure_threshold=1, max_workers=1
             ),
             middlewares=(self._outage,),
             clock=self.engine_clock,
@@ -377,10 +373,12 @@ def test_cached_answers_equal_uncached(backend, ops):
             harness.close()
 
 
-def test_cache_stays_bounded_under_sustained_writes():
+def test_cache_stays_bounded_under_sustained_writes(monkeypatch):
     """A long write stream over many more keys than the cache holds: the
-    cache never grows past ``max_entries``, and every answer equals a
-    direct call, so no entry a write invalidated is ever served."""
+    cache never grows past its bound, and every answer equals a direct
+    call, so no entry a write invalidated is ever served.  The bound is
+    lowered to 16 so that 2,000 steps over 194 keys reach eviction."""
+    monkeypatch.setattr(execution, "CACHE_MAX_ENTRIES", 16)
     store = build_tiny_store()
     registry = EndpointRegistry()
 
@@ -398,11 +396,7 @@ def test_cache_stays_bounded_under_sustained_writes():
 
     registry.register("x://views", views)
     registry.register("x://badges", badges)
-    engine = ExecutionEngine(
-        registry,
-        store=store,
-        policy=ExecutionPolicy.defaults().replace(cache_max_entries=16),
-    )
+    engine = ExecutionEngine(registry, store=store)
     for step in range(2000):
         aid = ARTIFACTS[step % len(ARTIFACTS)]
         if step % 7 == 0:

@@ -117,74 +117,3 @@ class TestFormat:
     def test_save_creates_parent_dirs(self, tiny_store, tmp_path):
         path = save_catalog(tiny_store, tmp_path / "deep" / "dir" / "c.json")
         assert path.exists()
-
-
-class TestSegments:
-    """Segmented JSON-stream export (see repro.catalog.segments)."""
-
-    def _export(self, tiny_store, tmp_path, records=3):
-        from repro.catalog.segments import export_segments
-
-        return export_segments(tiny_store, tmp_path / "seg",
-                               segment_records=records)
-
-    def test_round_trip(self, tiny_store, tmp_path):
-        from repro.catalog.segments import import_segments
-
-        self._export(tiny_store, tmp_path)
-        rebuilt = import_segments(tmp_path / "seg")
-        assert rebuilt.artifact_ids() == tiny_store.artifact_ids()
-        assert rebuilt.user_count == tiny_store.user_count
-        assert len(rebuilt.usage) == len(tiny_store.usage)
-        assert rebuilt.lineage.edges() == tiny_store.lineage.edges()
-        assert rebuilt.clock.now() == tiny_store.clock.now()
-        for domain, counter in tiny_store.domain_versions.items():
-            assert rebuilt.domain_version(domain) >= counter, domain
-
-    def test_segments_are_bounded(self, tiny_store, tmp_path):
-        import json as _json
-
-        self._export(tiny_store, tmp_path, records=2)
-        manifest = _json.loads(
-            (tmp_path / "seg" / "manifest.json").read_text()
-        )
-        entities = manifest["streams"]["entities"]
-        assert len(entities["segments"]) >= 3  # 6 artifacts / 2 per segment
-        assert all(s["records"] <= 2 for s in entities["segments"])
-
-    def test_reexport_skips_unchanged_segments(self, tiny_store, tmp_path):
-        self._export(tiny_store, tmp_path)
-        mtimes = {
-            p.name: p.stat().st_mtime_ns
-            for p in (tmp_path / "seg").iterdir()
-            if p.name != "manifest.json"
-        }
-        self._export(tiny_store, tmp_path)
-        for p in (tmp_path / "seg").iterdir():
-            if p.name != "manifest.json":
-                assert p.stat().st_mtime_ns == mtimes[p.name], p.name
-
-    def test_unknown_manifest_format_rejected(self, tiny_store, tmp_path):
-        import json as _json
-
-        from repro.catalog.segments import import_segments
-
-        self._export(tiny_store, tmp_path)
-        manifest_path = tmp_path / "seg" / "manifest.json"
-        payload = _json.loads(manifest_path.read_text())
-        payload["format"] = 99
-        manifest_path.write_text(_json.dumps(payload))
-        with pytest.raises(CatalogError, match="format"):
-            import_segments(tmp_path / "seg")
-
-    def test_import_into_persistent_store(self, tiny_store, tmp_path):
-        from repro.catalog.segments import import_segments
-        from repro.catalog.store import CatalogStore
-
-        self._export(tiny_store, tmp_path)
-        with CatalogStore.open(tmp_path / "catalog.db") as target:
-            import_segments(tmp_path / "seg", store=target)
-        with CatalogStore.open(tmp_path / "catalog.db") as reloaded:
-            assert reloaded.artifact_ids() == tiny_store.artifact_ids()
-            assert reloaded.by_badge("endorsed") == \
-                tiny_store.by_badge("endorsed")

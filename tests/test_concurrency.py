@@ -46,6 +46,7 @@ from repro.providers.execution import (
     FetchStatus,
 )
 from repro.providers.registry import EndpointRegistry
+from repro.util.clock import SimulationClock
 from repro.errors import ProviderError
 
 
@@ -172,16 +173,18 @@ class TestBreakerRaces:
 
     def test_breaker_never_regresses_open_to_closed_without_probe(self):
         """Under concurrent failures + timed probes, every observed
-        open → closed transition passes through half-open."""
+        open → closed transition passes through half-open.  The threads
+        share one simulated clock and move it 10 s after each fetch, so
+        the 30 s reset timeout lapses again and again mid-run."""
         endpoint = FailingEndpoint()
+        clock = SimulationClock()
+        clock_lock = threading.Lock()
         engine = _engine(
             {"x://fail": endpoint},
             policy=ExecutionPolicy.defaults().replace(
-                attempts=1,
-                breaker_failure_threshold=2,
-                breaker_reset_timeout_s=0.02,
-                cache_ttl_s=0,
+                attempts=1, breaker_failure_threshold=2, cache_ttl_s=0,
             ),
+            clock=clock,
         )
         transitions: list[str] = []
         seen_lock = threading.Lock()
@@ -195,14 +198,14 @@ class TestBreakerRaces:
         engine.stats.record_breaker_state = spy
 
         def fetch(i):
-            import time
-
             for _ in range(10):
                 engine.execute("x://fail", ProviderRequest())
-                time.sleep(0.005)
+                with clock_lock:
+                    clock.advance(seconds=10.0)
 
         _hammer(8, fetch)
         assert "open" in transitions  # the breaker did trip
+        assert "half-open" in transitions  # and probed after 30 s
         for prev, state in zip(transitions, transitions[1:]):
             if prev == "open":
                 assert state != "closed", transitions

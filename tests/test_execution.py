@@ -36,15 +36,11 @@ from repro.providers.base import (
     reads_context,
 )
 from repro.providers.execution import (
-    _FLAT_KNOBS,
-    BreakerPolicy,
     BreakerState,
-    CachePolicy,
     ExecutionEngine,
     ExecutionPolicy,
     ExecutionStats,
     FetchStatus,
-    RetryPolicy,
     request_key,
 )
 from repro.providers.faults import (
@@ -68,6 +64,19 @@ class CountingEndpoint:
     def __call__(self, request):
         self.calls += 1
         return list_result([ScoredArtifact(aid) for aid in self._ids])
+
+
+class RecordingClock(SimulationClock):
+    """A simulation clock that remembers every advance, so a test reads
+    the engine's backoff delays off the clock."""
+
+    def __init__(self):
+        super().__init__()
+        self.advances = []
+
+    def advance(self, seconds=0.0, days=0.0):
+        self.advances.append(seconds)
+        return super().advance(seconds=seconds, days=days)
 
 
 @pytest.fixture
@@ -211,17 +220,17 @@ class TestCache:
 
     def test_ttl_expiry(self, counting_registry):
         registry, endpoint = counting_registry
-        fake_now = [0.0]
+        clock = SimulationClock()
         engine = ExecutionEngine(
             registry,
             policy=ExecutionPolicy.defaults().replace(cache_ttl_s=10.0),
-            timer=lambda: fake_now[0],
+            clock=clock,
         )
         engine.execute("x://count", ProviderRequest())
-        fake_now[0] = 5.0
+        clock.advance(seconds=5.0)
         engine.execute("x://count", ProviderRequest())
         assert endpoint.calls == 1
-        fake_now[0] = 11.0
+        clock.advance(seconds=6.0)
         engine.execute("x://count", ProviderRequest())
         assert endpoint.calls == 2
 
@@ -236,17 +245,27 @@ class TestCache:
         assert engine.cache_size == 0
 
     def test_lru_bound(self, counting_registry):
-        registry, _ = counting_registry
-        engine = ExecutionEngine(
-            registry,
-            policy=ExecutionPolicy.defaults().replace(cache_max_entries=3),
-        )
-        for limit in range(1, 6):
+        """The cache holds 2,048 entries; the least recently used go."""
+        registry, endpoint = counting_registry
+        engine = ExecutionEngine(registry)
+
+        def fetch(limit):
             engine.execute(
                 "x://count",
                 ProviderRequest(context=RequestContext(limit=limit)),
             )
-        assert engine.cache_size == 3
+
+        for limit in range(1, 2049):
+            fetch(limit)
+        assert engine.cache_size == 2048
+        fetch(1)  # a hit: limit=1 becomes the most recently used
+        fetch(2049)  # evicts limit=2, the least recently used
+        assert engine.cache_size == 2048
+        assert endpoint.calls == 2049
+        fetch(1)
+        assert endpoint.calls == 2049
+        fetch(2)
+        assert endpoint.calls == 2050
 
     def test_explicit_invalidation(self, counting_registry):
         registry, endpoint = counting_registry
@@ -437,34 +456,32 @@ class TestRetryMiddleware:
         registry = EndpointRegistry()
         flaky = FlakyEndpoint(CountingEndpoint(), fail_on={1}, name="flaky")
         registry.register("x://flaky", flaky)
-        sleeps = []
+        clock = RecordingClock()
         engine = ExecutionEngine(
             registry,
-            policy=ExecutionPolicy.defaults().replace(
-                attempts=3, backoff_base_ms=10
-            ),
-            sleep=sleeps.append,
+            policy=ExecutionPolicy.defaults().replace(attempts=3),
+            clock=clock,
         )
         result = engine.execute("x://flaky", ProviderRequest()).result
         assert result.artifact_ids() == ["a-1", "a-2"]
         assert flaky.calls == 2
         assert engine.stats.total("retries") == 1
-        assert sleeps == [0.01]
+        assert clock.advances == [0.025]
 
     def test_backoff_doubles(self):
+        """Retries wait 25, 50, then 100 ms."""
         registry = EndpointRegistry()
-        flaky = FlakyEndpoint(CountingEndpoint(), fail_on={1, 2}, name="flaky")
+        flaky = FlakyEndpoint(CountingEndpoint(), fail_on={1, 2, 3},
+                              name="flaky")
         registry.register("x://flaky", flaky)
-        sleeps = []
+        clock = RecordingClock()
         engine = ExecutionEngine(
             registry,
-            policy=ExecutionPolicy.defaults().replace(
-                attempts=3, backoff_base_ms=10
-            ),
-            sleep=sleeps.append,
+            policy=ExecutionPolicy.defaults().replace(attempts=4),
+            clock=clock,
         )
-        engine.execute("x://flaky", ProviderRequest())
-        assert sleeps == [0.01, 0.02]
+        assert engine.execute("x://flaky", ProviderRequest()).fresh
+        assert clock.advances == [0.025, 0.05, 0.1]
 
     def test_attempts_exhausted_raises(self):
         registry = EndpointRegistry()
@@ -473,10 +490,8 @@ class TestRetryMiddleware:
         registry.register("x://flaky", flaky)
         engine = ExecutionEngine(
             registry,
-            policy=ExecutionPolicy.defaults().replace(
-                attempts=3, backoff_base_ms=0
-            ),
-            sleep=lambda s: None,
+            policy=ExecutionPolicy.defaults().replace(attempts=3),
+            clock=SimulationClock(),
         )
         outcome = engine.execute("x://flaky", ProviderRequest())
         assert outcome.status is FetchStatus.ERROR
@@ -491,10 +506,8 @@ class TestRetryMiddleware:
         tiny_registry.register("catalog://newest", slow, replace=True)
         engine = ExecutionEngine(
             tiny_registry,
-            policy=ExecutionPolicy.defaults().replace(
-                attempts=2, backoff_base_ms=0
-            ),
-            sleep=lambda s: None,
+            policy=ExecutionPolicy.defaults().replace(attempts=2),
+            clock=SimulationClock(),
         )
         engine.execute("catalog://newest", ProviderRequest())  # 60ms spent
         # second call times out (60 > 40 remaining) and the retry also
@@ -844,25 +857,37 @@ def _clock_engine(registry, policy=None):
     return engine, clock
 
 
+#: Names that are not policy fields: the engine's fixed retry, cache,
+#: stale, breaker and deadline settings, and the group names.
+REMOVED_KNOBS = (
+    "backoff_base_ms", "backoff_multiplier", "backoff_jitter",
+    "cache_max_entries", "serve_stale", "stale_grace_s",
+    "breaker_reset_timeout_s", "breaker_half_open_max_calls",
+    "deadline_budget_ms", "retry", "cache", "breaker", "deadline",
+)
+
+
 class TestRemovedFlatPolicyConstructor:
-    """The legacy flat ExecutionPolicy(...) constructor is gone: flat
-    kwargs raise TypeError; the flat spelling lives on in replace()."""
+    """The policy is five flat fields.  The knobs that became constants,
+    and the groups that held them, are gone from both the constructor
+    and ``replace``."""
 
     def test_flat_kwargs_raise_type_error(self):
-        with pytest.raises(TypeError):
-            ExecutionPolicy(attempts=3, cache_ttl_s=60.0)
+        for name in REMOVED_KNOBS:
+            with pytest.raises(TypeError):
+                ExecutionPolicy(**{name: 1})
+            with pytest.raises(TypeError):
+                ExecutionPolicy.defaults().replace(**{name: 1})
 
     def test_layered_spelling_replaces_the_shim(self):
         policy = ExecutionPolicy.defaults().replace(
             attempts=3, cache_ttl_s=60.0
         )
-        assert policy.retry.attempts == 3
-        assert policy.cache.ttl_s == 60.0
+        assert policy.attempts == 3
+        assert policy.cache_ttl_s == 60.0
 
     def test_canonical_construction_does_not_warn(self, recwarn):
-        ExecutionPolicy.defaults().replace(
-            retry=RetryPolicy(attempts=2), cache_ttl_s=5.0
-        )
+        ExecutionPolicy.defaults().replace(attempts=2, cache_ttl_s=5.0)
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
 
@@ -881,8 +906,8 @@ class TestRemovedFlatPolicyConstructor:
         assert isinstance(down.error, ProviderError)
 
     def test_no_flat_construction_left_anywhere(self):
-        """No module under src/ (execution.py aside) spells the removed
-        positional/flat form; everything goes through defaults().replace."""
+        """No module under src/ (execution.py aside) constructs a policy;
+        everything goes through defaults().replace."""
         src = Path(__file__).resolve().parent.parent / "src" / "repro"
         offenders = [
             str(path)
@@ -905,18 +930,15 @@ class TestLayeredPolicyApi:
     def test_defaults_is_a_shared_singleton(self):
         assert ExecutionPolicy.defaults() is ExecutionPolicy.defaults()
 
-    def test_replace_accepts_groups_and_flat_knobs(self):
-        by_group = ExecutionPolicy.defaults().replace(
-            retry=RetryPolicy(attempts=4)
+    def test_replace_accepts_the_five_knobs_only(self):
+        changed = ExecutionPolicy.defaults().replace(
+            attempts=4, cache_ttl_s=1.0, breaker_enabled=False,
+            breaker_failure_threshold=2, max_workers=1,
         )
-        by_knob = ExecutionPolicy.defaults().replace(attempts=4)
-        assert by_group == by_knob
-        assert by_knob.retry.backoff_base_ms == RetryPolicy().backoff_base_ms
-        # A flat knob applies on top of a group passed in the same call.
-        both = ExecutionPolicy.defaults().replace(
-            retry=RetryPolicy(attempts=4), backoff_base_ms=1.0
+        assert changed == ExecutionPolicy(
+            attempts=4, cache_ttl_s=1.0, breaker_enabled=False,
+            breaker_failure_threshold=2, max_workers=1,
         )
-        assert both.retry == RetryPolicy(attempts=4, backoff_base_ms=1.0)
         with pytest.raises(TypeError):
             ExecutionPolicy.defaults().replace(atempts=3)
 
@@ -924,45 +946,51 @@ class TestLayeredPolicyApi:
         base = ExecutionPolicy.defaults()
         changed = base.replace(cache_ttl_s=1.0)
         assert changed is not base
-        assert base.cache.ttl_s == CachePolicy().ttl_s
+        assert base.cache_ttl_s == 300.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             changed.max_workers = 2
 
     def test_group_validation(self):
+        """The policy validates its counts, constructed or replaced."""
         with pytest.raises(ValueError):
-            RetryPolicy(attempts=0)
+            ExecutionPolicy(attempts=0)
         with pytest.raises(ValueError):
-            RetryPolicy(backoff_jitter=2.0)
+            ExecutionPolicy.defaults().replace(attempts=0)
         with pytest.raises(ValueError):
-            BreakerPolicy(failure_threshold=0)
+            ExecutionPolicy(breaker_failure_threshold=0)
+        with pytest.raises(ValueError):
+            ExecutionPolicy.defaults().replace(breaker_failure_threshold=0)
 
 
 class TestPolicyKnobTable:
     """``docs/execution.md`` lists every settable policy value."""
 
     @staticmethod
-    def _documented() -> dict[str, tuple[str, object]]:
+    def _documented() -> dict[str, object]:
         doc = Path(__file__).resolve().parent.parent / "docs" / "execution.md"
-        rows = {}
-        for line in doc.read_text(encoding="utf-8").splitlines():
-            match = re.match(
-                r"\| `(\w+)` \| `([\w.]+)` \| `([^`]+)` \| .+ \|$", line
+        section = doc.read_text(encoding="utf-8").split(
+            "## The policy API", 1
+        )[1].split("\n## ", 1)[0]
+        return {
+            name: ast.literal_eval(default)
+            for name, default in re.findall(
+                r"^\| `(\w+)` \| `([^`]+)` \| .+ \|$", section, re.MULTILINE
             )
-            if match:
-                name, path, default = match.groups()
-                rows[name] = (path, ast.literal_eval(default))
-        return rows
+        }
 
     def test_table_names_every_knob_with_its_field_and_default(self):
-        policy = ExecutionPolicy()
-        expected = {"max_workers": ("max_workers", policy.max_workers)}
-        for knob, (group, field_name) in _FLAT_KNOBS.items():
-            value = getattr(getattr(policy, group), field_name)
-            expected[knob] = (f"{group}.{field_name}", value)
+        expected = {
+            field.name: field.default
+            for field in dataclasses.fields(ExecutionPolicy)
+        }
+        assert list(expected) == [
+            "attempts", "cache_ttl_s", "breaker_enabled",
+            "breaker_failure_threshold", "max_workers",
+        ]
         documented = self._documented()
         assert documented == expected
-        for knob, (_, value) in expected.items():
-            assert type(documented[knob][1]) is type(value), knob
+        for knob, value in expected.items():
+            assert type(documented[knob]) is type(value), knob
 
 
 class TestRegistrationTable:
@@ -1092,7 +1120,10 @@ class TestCircuitBreaker:
         for _ in range(3):
             engine.execute("x://shaky", ProviderRequest())
         assert engine.breaker_state("x://shaky") is BreakerState.OPEN
-        clock.advance(seconds=BreakerPolicy().reset_timeout_s + 1)
+        clock.advance(seconds=29.9)
+        assert engine.execute("x://shaky", ProviderRequest()).skipped
+        assert failing.calls == 3
+        clock.advance(seconds=0.1)  # 30 s after the trip: one probe
         outcome = engine.execute("x://shaky", ProviderRequest())
         assert outcome.fresh  # the endpoint recovered on call 4
         assert engine.breaker_state("x://shaky") is BreakerState.CLOSED
@@ -1102,7 +1133,7 @@ class TestCircuitBreaker:
         engine, clock = _clock_engine(registry, self._policy())
         for _ in range(3):
             engine.execute("x://shaky", ProviderRequest())
-        clock.advance(seconds=BreakerPolicy().reset_timeout_s + 1)
+        clock.advance(seconds=30.0)
         probe = engine.execute("x://shaky", ProviderRequest())
         assert probe.status is FetchStatus.ERROR  # probe ran and failed
         assert engine.breaker_state("x://shaky") is BreakerState.OPEN
@@ -1158,6 +1189,10 @@ class TestCircuitBreaker:
         assert engine.breaker_state("x://shaky") is BreakerState.CLOSED
 
 
+#: The default cache TTL the stale-while-revalidate tests expire past.
+TTL_S = ExecutionPolicy.defaults().cache_ttl_s
+
+
 class TestStaleWhileRevalidate:
     def _warmed_engine(self, policy=None):
         """Engine + clock with x://wobbly warmed once, then failing."""
@@ -1174,7 +1209,7 @@ class TestStaleWhileRevalidate:
 
     def test_open_breaker_serves_marked_stale(self):
         engine, clock, wobbly = self._warmed_engine()
-        clock.advance(seconds=CachePolicy().ttl_s + 1)  # expire, in grace
+        clock.advance(seconds=TTL_S + 1)  # expire, in grace
         for _ in range(3):
             assert engine.execute(
                 "x://wobbly", ProviderRequest()
@@ -1189,7 +1224,7 @@ class TestStaleWhileRevalidate:
 
     def test_exhausted_deadline_serves_marked_stale(self):
         engine, clock, wobbly = self._warmed_engine()
-        clock.advance(seconds=CachePolicy().ttl_s + 1)
+        clock.advance(seconds=TTL_S + 1)
         deadline = engine.deadline(budget_ms=50.0)
         clock.advance(seconds=1.0)  # spend the whole budget
         outcome = engine.execute(
@@ -1201,22 +1236,26 @@ class TestStaleWhileRevalidate:
         assert wobbly.calls == 1
 
     def test_no_fallback_past_grace_period(self):
+        """An entry stays servable as stale until 900 s past its TTL."""
         engine, clock, wobbly = self._warmed_engine()
-        clock.advance(
-            seconds=CachePolicy().ttl_s + CachePolicy().stale_grace_s + 1
-        )
+        clock.advance(seconds=TTL_S + 900 - 1)
         for _ in range(3):
             engine.execute("x://wobbly", ProviderRequest())
+        assert engine.execute("x://wobbly", ProviderRequest()).stale
+        clock.advance(seconds=1)  # the breaker is still open
         outcome = engine.execute("x://wobbly", ProviderRequest())
         assert outcome.skipped and outcome.result is None
         assert isinstance(outcome.error, CircuitOpenError)
+        assert engine.cache_size == 0
 
     def test_serve_stale_can_be_disabled(self):
+        """Stale serving has no switch of its own: with caching off
+        there is no entry to serve."""
         policy = ExecutionPolicy.defaults().replace(
-            serve_stale=False, breaker_failure_threshold=3
+            cache_ttl_s=0, breaker_failure_threshold=3
         )
         engine, clock, _ = self._warmed_engine(policy)
-        clock.advance(seconds=CachePolicy().ttl_s + 1)
+        clock.advance(seconds=TTL_S + 1)
         for _ in range(3):
             engine.execute("x://wobbly", ProviderRequest())
         outcome = engine.execute("x://wobbly", ProviderRequest())
@@ -1224,7 +1263,7 @@ class TestStaleWhileRevalidate:
 
     def test_stale_result_is_not_rememoised_as_fresh(self):
         engine, clock, wobbly = self._warmed_engine()
-        clock.advance(seconds=CachePolicy().ttl_s + 1)
+        clock.advance(seconds=TTL_S + 1)
         for _ in range(3):
             engine.execute("x://wobbly", ProviderRequest())
         assert engine.execute("x://wobbly", ProviderRequest()).stale
@@ -1246,20 +1285,14 @@ class TestStaleWhileRevalidate:
 
 class TestDeadlineBudget:
     def test_no_budget_means_no_deadline(self, counting_registry):
+        """There is no default budget: only a caller's budget makes one."""
         registry, _ = counting_registry
         engine, _ = _clock_engine(registry)
         assert engine.deadline() is None
+        assert engine.deadline(None) is None
         assert engine.deadline(0) is None
         assert engine.deadline(-5) is None
-
-    def test_default_budget_comes_from_policy(self, counting_registry):
-        registry, _ = counting_registry
-        engine, _ = _clock_engine(
-            registry,
-            ExecutionPolicy.defaults().replace(deadline_budget_ms=80.0),
-        )
-        deadline = engine.deadline()
-        assert deadline is not None and deadline.budget_ms == 80.0
+        assert engine.deadline(80.0).budget_ms == 80.0
 
     def test_expired_deadline_skips_without_invoking(self, counting_registry):
         registry, endpoint = counting_registry
@@ -1318,70 +1351,35 @@ class TestDeadlineBudget:
         registry.register("x://costly", costly)
         engine = ExecutionEngine(
             registry,
-            policy=ExecutionPolicy.defaults().replace(
-                attempts=5, backoff_base_ms=100.0
-            ),
+            policy=ExecutionPolicy.defaults().replace(attempts=5),
             clock=clock,
         )
-        deadline = engine.deadline(budget_ms=150.0)
+        deadline = engine.deadline(budget_ms=120.0)
         outcome = engine.execute(
             "x://costly", ProviderRequest(), deadline=deadline
         )
         assert outcome.status is FetchStatus.ERROR
-        # attempt 1 at 80ms; backoff capped to the 70ms remaining; attempt
-        # 2 at 230ms is past the deadline, so attempts 3-5 never happen
+        # attempt 1 at 80ms; 25ms backoff; attempt 2 at 185ms is past the
+        # deadline, so attempts 3-5 never happen
         assert costly.calls == 2
 
     def test_backoff_sleep_capped_to_remaining_budget(self):
         registry = EndpointRegistry()
         flaky = FlakyEndpoint(CountingEndpoint(), fail_on={1}, name="flaky")
         registry.register("x://flaky", flaky)
-        sleeps = []
-        clock = SimulationClock()
+        clock = RecordingClock()
         engine = ExecutionEngine(
             registry,
-            policy=ExecutionPolicy.defaults().replace(
-                attempts=3, backoff_base_ms=500.0
-            ),
-            timer=clock.now,
-            sleep=lambda s: (sleeps.append(s), clock.advance(seconds=s)),
+            policy=ExecutionPolicy.defaults().replace(attempts=3),
+            clock=clock,
         )
-        deadline = engine.deadline(budget_ms=200.0)
+        deadline = engine.deadline(budget_ms=10.0)
         outcome = engine.execute(
             "x://flaky", ProviderRequest(), deadline=deadline
         )
         assert outcome.fresh
-        assert sleeps == [pytest.approx(0.2)]  # 500ms desire, 200ms budget
-
-
-class TestRetryJitter:
-    def _sleeps(self, jitter):
-        registry = EndpointRegistry()
-        flaky = FlakyEndpoint(CountingEndpoint(), fail_on={1, 2},
-                              name="flaky")
-        registry.register("x://flaky", flaky)
-        sleeps = []
-        engine = ExecutionEngine(
-            registry,
-            policy=ExecutionPolicy.defaults().replace(
-                attempts=3, backoff_base_ms=100.0, backoff_jitter=jitter
-            ),
-            sleep=sleeps.append,
-        )
-        engine.execute("x://flaky", ProviderRequest())
-        return sleeps
-
-    def test_jitter_perturbs_the_schedule(self):
-        plain = self._sleeps(0.0)
-        jittered = self._sleeps(0.5)
-        assert plain == [0.1, 0.2]
-        assert jittered != plain
-        # bounded by d * (1 ± jitter)
-        assert 0.05 <= jittered[0] <= 0.15
-        assert 0.10 <= jittered[1] <= 0.30
-
-    def test_jitter_is_deterministic_across_runs(self):
-        assert self._sleeps(0.5) == self._sleeps(0.5)
+        # 25 ms wanted, 10 ms left
+        assert clock.advances == [pytest.approx(0.01)]
 
 
 class TestHealthSurface:

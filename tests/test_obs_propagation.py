@@ -26,6 +26,7 @@ from repro.providers.execution import (
 from repro.providers.faults import FailNTimesEndpoint
 from repro.providers.registry import EndpointRegistry
 from repro.synth import SynthConfig, generate_catalog
+from repro.util.clock import SimulationClock
 
 
 class CountingEndpoint:
@@ -98,13 +99,13 @@ class TestPoolWorkerPropagation:
 
 class TestDegradedArms:
     def test_deadline_expiry_annotates_skip(self):
-        fake = [0.0]
+        clock = SimulationClock()
         registry = EndpointRegistry()
         endpoint = CountingEndpoint()
         registry.register("x://p", endpoint)
-        engine, ring = traced_engine(registry, timer=lambda: fake[0])
+        engine, ring = traced_engine(registry, clock=clock)
         deadline = engine.deadline(10.0)
-        fake[0] = 1.0  # 1 s later: the 10 ms budget is long spent
+        clock.advance(seconds=1.0)  # the 10 ms budget is long spent
         outcome = engine.execute("x://p", ProviderRequest(), deadline=deadline)
         assert outcome.status is FetchStatus.SKIPPED
         assert endpoint.calls == 0
@@ -116,20 +117,18 @@ class TestDegradedArms:
         engine.close()
 
     def test_deadline_expiry_with_stale_fallback_annotates_stale(self):
-        fake = [0.0]
+        clock = SimulationClock()
         registry = EndpointRegistry()
         registry.register("x://p", CountingEndpoint())
         engine, ring = traced_engine(
             registry,
-            timer=lambda: fake[0],
-            policy=ExecutionPolicy.defaults().replace(
-                cache_ttl_s=10.0, stale_grace_s=900.0
-            ),
+            clock=clock,
+            policy=ExecutionPolicy.defaults().replace(cache_ttl_s=10.0),
         )
         assert engine.execute("x://p", ProviderRequest()).status is FetchStatus.OK
-        fake[0] = 20.0  # entry expired, within stale grace
+        clock.advance(seconds=20.0)  # entry expired, within stale grace
         deadline = engine.deadline(10.0)
-        fake[0] = 21.0  # budget spent
+        clock.advance(seconds=1.0)  # budget spent
         outcome = engine.execute("x://p", ProviderRequest(), deadline=deadline)
         assert outcome.status is FetchStatus.STALE
         stale_fetches = [
@@ -146,10 +145,9 @@ class TestDegradedArms:
         registry.register("x://flaky", endpoint)
         engine, ring = traced_engine(
             registry,
+            clock=SimulationClock(),
             policy=ExecutionPolicy.defaults().replace(
-                attempts=1, cache_ttl_s=0.0,
-                breaker_failure_threshold=1,
-                breaker_reset_timeout_s=600.0,
+                attempts=1, cache_ttl_s=0.0, breaker_failure_threshold=1,
             ),
         )
         first = engine.execute("x://flaky", ProviderRequest())

@@ -292,17 +292,15 @@ class TestFailureContract:
         assert not result.degraded
         assert result.total > 0
 
-    def _resilient(self, **knobs) -> tuple[Discovery, SimulationClock]:
+    def _resilient(self) -> tuple[Discovery, SimulationClock]:
         clock = SimulationClock()
         policy = ExecutionPolicy.defaults().replace(
-            attempts=1, cache_ttl_s=10.0, stale_grace_s=3600.0,
-            breaker_failure_threshold=1, breaker_reset_timeout_s=600.0,
-            **knobs,
+            attempts=1, cache_ttl_s=10.0, breaker_failure_threshold=1,
         )
         return Discovery.open(_small_store(), policy=policy, clock=clock), clock
 
     def test_stale_member_leaf_now_reaches_the_result(self):
-        discovery, clock = self._resilient(serve_stale=True)
+        discovery, clock = self._resilient()
         with discovery:
             _fail_leaf(discovery, when=lambda call: call > 1)
             fresh = discovery.search("type: table")
@@ -317,7 +315,7 @@ class TestFailureContract:
         assert (marker.endpoint, marker.status) == ("catalog://of_type", "stale")
 
     def test_breaker_skipped_member_leaf_now_reaches_the_result(self):
-        discovery, _ = self._resilient(serve_stale=False)
+        discovery, _ = self._resilient()
         with discovery:
             discovery.search("type: table")
             _fail_leaf(discovery, "catalog://badged")

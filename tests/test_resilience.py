@@ -16,6 +16,7 @@ from repro.core.render import render_view_text
 from repro.errors import ProviderError
 from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
 from repro.providers.execution import (
+    BREAKER_RESET_TIMEOUT_S,
     ExecutionEngine,
     ExecutionPolicy,
     FetchStatus,
@@ -158,7 +159,7 @@ class TestSearchDegradation:
             # window, then the half-open probe hits the recovered endpoint
             engine = app.engine
             original_timer = engine._timer
-            offset = ExecutionPolicy.defaults().breaker.reset_timeout_s + 1
+            offset = BREAKER_RESET_TIMEOUT_S + 1
             engine._timer = lambda: original_timer() + offset
             tabs = app.interface.overview_tabs(user_id="u-ann")
             assert not app.interface.degraded
@@ -192,7 +193,7 @@ class TestStaleSearch:
         assert not fresh.degraded
         fresh_ids = {entry.artifact_id for entry in fresh.entries}
 
-        clock.advance(seconds=ExecutionPolicy.defaults().cache.ttl_s + 1)
+        clock.advance(seconds=ExecutionPolicy.defaults().cache_ttl_s + 1)
         # the revalidation fetch fails live (pre-resilience contract:
         # the error surfaces) and trips the hair-trigger breaker ...
         with pytest.raises(ProviderError):

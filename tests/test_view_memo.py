@@ -46,7 +46,7 @@ from repro.providers.base import (
     list_result,
 )
 from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
-from repro.providers.execution import CachePolicy, ExecutionPolicy
+from repro.providers.execution import CACHE_MAX_ENTRIES, ExecutionPolicy
 from repro.providers.fields import FieldResolver
 from repro.providers.registry import EndpointRegistry
 from repro.providers.suite import default_spec
@@ -525,8 +525,7 @@ def test_team_hiding_a_provider_never_sees_its_view(harness):
 
 @pytest.fixture
 def factory(tiny_store, spec):
-    return ViewFactory(tiny_store, spec, Ranker(FieldResolver(tiny_store)),
-                       max_entries=3)
+    return ViewFactory(tiny_store, spec, Ranker(FieldResolver(tiny_store)))
 
 
 def _items(*ids):
@@ -545,13 +544,18 @@ def test_key_holds_result_identity_limit_inputs_and_staleness(factory, spec):
         assert factory.build(provider, result, **kwargs) is not view
 
 
-def test_memo_is_lru_bounded(factory, spec):
-    provider = spec.provider("newest")
-    results = [_items("t-orders") for _ in range(5)]
+def _assert_lru_bounded(factory, provider):
+    """The memo holds 2,048 views; the least recently used go."""
+    results = [_items("t-orders") for _ in range(2050)]
     views = [factory.build(provider, result) for result in results]
-    assert len(factory._memo) == 3
+    assert len(factory._memo) == 2048
     assert factory.build(provider, results[-1]) is views[-1]
+    assert factory.build(provider, results[2]) is views[2]
     assert factory.build(provider, results[0]) is not views[0]
+
+
+def test_memo_is_lru_bounded(factory, spec):
+    _assert_lru_bounded(factory, spec.provider("newest"))
 
 
 def test_entries_of_collected_results_are_dropped(factory, spec):
@@ -578,12 +582,9 @@ def test_failed_builds_are_not_memoized(factory, spec):
 def test_interface_bounds_the_memo_by_the_engine_cache(tiny_store):
     registry = EndpointRegistry()
     install_builtin_endpoints(registry, BuiltinProviders(tiny_store))
-    policy = ExecutionPolicy.defaults().replace(
-        cache=CachePolicy(max_entries=7)
-    )
-    interface = DiscoveryInterface(tiny_store, registry, default_spec(),
-                                   policy=policy)
-    assert interface.factory._max_entries == 7
+    interface = DiscoveryInterface(tiny_store, registry, default_spec())
+    assert CACHE_MAX_ENTRIES == 2048
+    _assert_lru_bounded(interface.factory, interface.spec.provider("newest"))
     interface.engine.close()
 
 
