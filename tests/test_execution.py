@@ -1294,6 +1294,24 @@ class TestDeadlineBudget:
         assert engine.deadline(-5) is None
         assert engine.deadline(80.0).budget_ms == 80.0
 
+    def test_default_budget_comes_from_policy(self, counting_registry):
+        """The policy holds no budget, so no policy, default or changed,
+        makes a deadline when the caller gives none."""
+        registry, _ = counting_registry
+        assert "deadline_budget_ms" not in {
+            field.name for field in dataclasses.fields(ExecutionPolicy)
+        }
+        with pytest.raises(TypeError):
+            ExecutionPolicy.defaults().replace(deadline_budget_ms=80.0)
+        engine, _ = _clock_engine(
+            registry,
+            ExecutionPolicy.defaults().replace(
+                attempts=1, cache_ttl_s=1.0, max_workers=1
+            ),
+        )
+        assert engine.deadline() is None
+        assert engine.deadline(80.0).budget_ms == 80.0
+
     def test_expired_deadline_skips_without_invoking(self, counting_registry):
         registry, endpoint = counting_registry
         engine, clock = _clock_engine(registry)
