@@ -1,4 +1,4 @@
-"""BENCH_federation — fan-out over 4 member catalogs vs one monolith.
+"""BENCH_federation — search over 4 member catalogs vs one monolith.
 
 Two sub-experiments over one corpus partitioned round-robin into 4
 disjoint members:
@@ -9,17 +9,19 @@ disjoint members:
   on both, one after the other, so host-speed drift cannot favour
   either side's samples.  The federated
   p50 must stay within a small constant factor of the monolith's (the
-  fan-out adds merge overhead, not asymptotic cost), and every returned
-  entry must be attributed to the member that owns it — zero
-  cross-catalog leakage.
+  member loop adds per-member planning and a merge, not asymptotic
+  cost), and every returned entry must be attributed to the member
+  that owns it — zero cross-catalog leakage.
 
-* **one slow member (simulated clock)** — one member's search endpoint
-  burns a 250ms latency spike and fails on every invocation.  With the
-  breaker off the fan-out waits out the full retry schedule on every
-  search; with per-member breaker state (threshold 3) the first three
-  failures trip the breaker and later searches degrade instantly to
-  partial results.  Degradation-on p99 must be **strictly** below
-  fan-out-waiting p99.
+* **one slow member (simulated clock)** — every provider leaf of one
+  member burns a 250ms latency spike and fails on every invocation.
+  With the breaker off each search waits out the member's full retry
+  schedule; with the member guard on (threshold 3) the first three
+  failing searches trip that member's breaker and later searches skip
+  it instantly, returning partial results.  Degradation-on p99 must be
+  **strictly** below fan-out-waiting p99.  Text-only queries are left
+  out of this run: the member answers them from its own token index
+  without reaching a provider leaf.
 
 Emits ``benchmarks/results/BENCH_federation.json`` plus the text table.
 Set ``BENCH_FEDERATION_SMOKE=1`` for the small-catalog CI smoke run.
@@ -35,7 +37,7 @@ from benchmarks.conftest import RESULTS_DIR, write_result
 from repro.core.query.evaluator import QueryEvaluator
 from repro.core.query.language import QueryLanguage
 from repro.core.ranking import Ranker
-from repro.federation import federate, member_search_endpoint_uri
+from repro.federation import federate
 from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
 from repro.providers.execution import (
     ExecutionEngine,
@@ -155,31 +157,43 @@ def test_bench_federation_healthy_fanout_comparable_p50():
     )
 
 
+def _provider_queries(store) -> list[str]:
+    """The query mix minus text-only queries: those are answered from
+    the member's own token index, reach no provider leaf, and so cannot
+    meet the slow member's injected fault."""
+    language = QueryLanguage(default_spec())
+    return [
+        query for query in query_pool(store)
+        if any(b.provider is not None for b in language.compile(query).bindings)
+    ]
+
+
 def _run_slow_member(store, degradation_on: bool) -> dict:
     clock = SimulationClock()
     policy = ExecutionPolicy.defaults().replace(attempts=ATTEMPTS)
-    uri = member_search_endpoint_uri(SLOW_MEMBER)
     if degradation_on:
-        # Engine-wide threshold; only the slow member ever fails.
+        # Federation-wide threshold; only the slow member ever fails.
         policy = policy.replace(breaker_failure_threshold=THRESHOLD)
     else:
         policy = policy.replace(breaker_enabled=False)
     federation, _ = federate(store, PARTS, policy=policy, clock=clock)
     user_id, team_id = _context(store)
 
-    # The slow member: every invocation burns a full simulated spike and
-    # then fails, so without a breaker each search pays SPIKE x ATTEMPTS.
-    original = federation.registry.resolve(uri)
-    broken = LatencySpikeEndpoint(
-        FlakyEndpoint(original, fail_on=lambda i: True, name=SLOW_MEMBER),
-        clock,
-        [SPIKE_MS],
-    )
-    federation.registry.register(uri, broken, replace=True)
+    # The slow member: every invocation of every one of its provider
+    # leaves burns a full simulated spike and then fails, so without a
+    # breaker each search pays SPIKE x ATTEMPTS per leaf it reaches.
+    registry = federation.member_engine(SLOW_MEMBER).registry
+    for uri in list(registry):
+        broken = LatencySpikeEndpoint(
+            FlakyEndpoint(registry.resolve(uri), fail_on=lambda i: True, name=uri),
+            clock,
+            [SPIKE_MS],
+        )
+        registry.register(uri, broken, replace=True)
 
-    queries = query_pool(store)
+    queries = _provider_queries(store)
     latencies: list[float] = []
-    degraded = partial = 0
+    degraded = partial = rejections = 0
     for index in range(SLOW_SEARCHES):
         query = queries[index % len(queries)]
         started = clock.now()
@@ -189,15 +203,18 @@ def _run_slow_member(store, degradation_on: bool) -> dict:
         latencies.append((clock.now() - started) * 1000.0)
         degraded += int(result.degraded)
         partial += int(SLOW_MEMBER in result.failed)
-    stats = federation.engine.stats
+        rejections += sum(
+            marker.provider == SLOW_MEMBER and marker.detail == "circuit open"
+            for marker in result.health
+        )
     row = {
         "p50_ms": _percentile(sorted(latencies), 50),
         "p99_ms": _percentile(sorted(latencies), 99),
         "mean_ms": sum(latencies) / len(latencies),
         "degraded_searches": degraded,
         "partial_searches": partial,
-        "breaker_opens": stats.total("breaker_opens"),
-        "breaker_rejections": stats.total("breaker_rejections"),
+        "breaker_state_after": federation.member_health()[SLOW_MEMBER]["breaker"],
+        "breaker_rejections": rejections,
     }
     federation.close()
     return row
@@ -227,7 +244,7 @@ def test_bench_federation_slow_member_bounded_tail():
 
     # Fan-out-waiting pays the full retry schedule on the slow member.
     assert off["p50_ms"] >= SPIKE_MS * ATTEMPTS
-    assert on["breaker_opens"] >= 1
+    assert on["breaker_state_after"] == "open"
 
     # The headline: degradation-on strictly bounds the tail.
     assert on["p99_ms"] < off["p99_ms"], (
@@ -253,14 +270,14 @@ def test_bench_federation_report():
         "",
         "one slow member (simulated clock):",
         f"{'config':>16}{'p50 ms':>9}{'p99 ms':>9}{'mean ms':>9}"
-        f"{'partial':>9}{'opens':>7}{'rejects':>9}",
+        f"{'partial':>9}{'breaker':>9}{'rejects':>9}",
     ]
     for label in ("slow_member_breaker_off", "slow_member_breaker_on"):
         row = _rows[label]
         lines.append(
             f"{label[12:]:>16}{row['p50_ms']:>9.1f}{row['p99_ms']:>9.1f}"
             f"{row['mean_ms']:>9.1f}{row['partial_searches']:>9}"
-            f"{row['breaker_opens']:>7}{row['breaker_rejections']:>9}"
+            f"{row['breaker_state_after']:>9}{row['breaker_rejections']:>9}"
         )
     meta = _rows["_meta"]
     lines.append(

@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--trace", action="store_true",
                         help="trace the request and print the span tree "
                              "(planner, engine, provider fetches — and "
-                             "per-member fan-out when federated) with "
+                             "one member search each when federated) with "
                              "timings and cache/skip annotations")
     search.add_argument("--budget-ms", type=float, default=None,
                         help="deadline budget for provider fetches; once "
@@ -276,8 +276,8 @@ def _federated_search(args, out) -> int:
     with _open_discovery(args) as discovery:
         ring = None
         if args.trace:
-            # One tracer shared by the federation engine and every
-            # member engine, so the whole fan-out lands in one trace.
+            # One tracer shared by the federation and every member
+            # engine, so the whole member loop lands in one trace.
             ring = RingBufferExporter()
             discovery.federation.set_tracer(Tracer(exporters=(ring,)))
         users = discovery.federation.users()
@@ -300,7 +300,10 @@ def _federated_search(args, out) -> int:
                   "providers failed, were skipped or answered stale:",
                   file=out)
             for marker in result.health:
-                print(f"  {marker.provider}: {marker.status}"
+                where = marker.provider
+                if marker.endpoint != marker.provider:
+                    where += f" ({marker.endpoint})"
+                print(f"  {where}: {marker.status}"
                       f"{' — ' + marker.detail if marker.detail else ''}",
                       file=out)
         if ring is not None:

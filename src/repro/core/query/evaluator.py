@@ -150,6 +150,7 @@ class QueryEvaluator:
         universe: list[str] | None = None,
         limit: int = 50,
         budget_ms: float | None = None,
+        deadline: Deadline | None = None,
     ) -> SearchResult:
         """Evaluate *query*; *universe* scopes it to a view's artifacts.
 
@@ -161,8 +162,8 @@ class QueryEvaluator:
         *budget_ms* bounds the search's provider work: once spent,
         remaining fetches are skipped (or served stale), not attempted,
         and the result is flagged ``degraded`` with per-provider health
-        markers.  ``None`` falls back to the engine policy's default
-        budget (unbounded out of the box).
+        markers; ``None`` leaves it unbounded.  A caller that shares one
+        budget across several searches passes its *deadline* instead.
         """
         tracer = self.engine.tracer
         with tracer.span("query.search") as sp:
@@ -174,7 +175,9 @@ class QueryEvaluator:
             if sp:
                 sp.set("query", compiled.text)
             context = context or RequestContext()
-            state = _EvalState(deadline=self.engine.deadline(budget_ms))
+            if deadline is None:
+                deadline = self.engine.deadline(budget_ms)
+            state = _EvalState(deadline=deadline)
             plan_root: PlanNode | None = None
             planning_ms = 0.0
             if self.planning:

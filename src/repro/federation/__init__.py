@@ -1,8 +1,9 @@
 """Federated multi-catalog discovery (ROADMAP item 5).
 
 One discovery surface over N member catalogs: catalog-qualified
-addressing (:mod:`.refs`), engine-mediated search fan-out with
-per-member degradation and rank-aware merging (:mod:`.catalog`),
+addressing (:mod:`.refs`), search as one loop over the member
+evaluators with per-member degradation and rank-aware merging
+(:mod:`.catalog`),
 deterministic partitioning for conformance testing (:mod:`.partition`),
 and the stable :class:`~repro.federation.facade.Discovery` entry point
 (:mod:`.facade`).
@@ -16,7 +17,6 @@ from repro.federation.catalog import (
     FederatedEntry,
     FederatedLineage,
     FederatedSearchResult,
-    member_search_endpoint_uri,
 )
 from repro.federation.facade import DEFAULT_MEMBER, Discovery
 from repro.federation.partition import (
@@ -49,7 +49,6 @@ __all__ = [
     "FederationError",
     "UnknownCatalogError",
     "federate",
-    "member_search_endpoint_uri",
     "parse_ref",
     "partition_catalog",
     "validate_catalog_id",

@@ -7,30 +7,22 @@ files side by side — behind the store's read API with
 catalog-qualified ids (see :mod:`repro.federation.refs`).
 
 Each member owns a full single-catalog query stack (registry, engine,
-evaluator).  A search with one target — every single-catalog
-``Discovery.open(source)`` search — calls that member's evaluator
-directly at the caller's limit: its leaves still run under the member
-engine's cache, retries, breakers and deadline budget, and a member
-error degrades the result instead of raising.
+evaluator).  A search is one loop over its targets, for one target or
+many: the query is compiled once, and each member's evaluator runs in
+turn at the caller's limit under one shared deadline.  Its leaves run
+under the member engine's cache, retries, breakers and stale-serving,
+and a member error degrades the result instead of raising.  Over two
+or more targets a per-member circuit breaker (the *member guard*)
+skips a member that keeps failing, so one slow or broken catalog
+degrades the answer instead of stalling every search.
 
-A search over two or more targets is a fan-out through the execution
-layer, not a bespoke loop: the federation registers one
-``fed://<catalog_id>/search`` endpoint per member on its *own*
-registry/engine, and the search becomes one
-:meth:`~repro.providers.execution.ExecutionEngine.execute_many` batch,
-so per-member retries, TTL caches, circuit breakers, deadline budgets
-and stale-serving all apply per member for free — one slow or failing
-member degrades the result (flagged, partial) instead of sinking the
-whole query.
-
-Merging is **rank-aware interleaving**: members return their full
-scored match lists (scores are per-artifact — no cross-artifact
-normalisation — and rounded exactly as :meth:`~repro.core.ranking.
-Ranker.top_k` rounds them), and the federation interleaves on
-``(-score, artifact_id)``, the same ordering key a single merged
-catalog would use.  Over disjoint members this reproduces the monolith
-result list bit-for-bit; ``tests/test_federation.py`` holds the
-conformance gate.
+Merging is **rank-aware interleaving**: scores are per-artifact (no
+cross-artifact normalisation) and rounded exactly as
+:meth:`~repro.core.ranking.Ranker.top_k` rounds them, and the
+federation interleaves on ``(-score, artifact_id)``, the same ordering
+key a single merged catalog would use.  Over disjoint members this
+reproduces the monolith result list bit-for-bit;
+``tests/test_federation.py`` holds the conformance gate.
 
 **Stability: internal.** Import :class:`repro.Discovery` (see
 ``repro.__all__``) — this module's internals may change without notice.
@@ -38,21 +30,21 @@ conformance gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+import time
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.catalog.domains import DOMAINS
 from repro.catalog.lineage import LineageEdge
 from repro.catalog.model import Artifact, ArtifactType, Team, User
 from repro.catalog.store import CatalogStore
 from repro.catalog.usage import UsageStats
 from repro.core.query.evaluator import QueryEvaluator
-from repro.core.query.language import QueryLanguage
-from repro.core.query.parser import parse_query
+from repro.core.query.language import CompiledQuery, QueryLanguage
 from repro.core.ranking import Ranker
 from repro.core.spec.model import HumboldtSpec
-from repro.errors import HumboldtError
+from repro.errors import HumboldtError, QueryCompileError
 from repro.federation.refs import (
     CatalogRef,
     FederationError,
@@ -60,10 +52,12 @@ from repro.federation.refs import (
     parse_ref,
     validate_catalog_id,
 )
-from repro.obs.trace import Tracer
-from repro.providers.base import ProviderRequest, RequestContext, reads_context
+from repro.obs.trace import NOOP_TRACER, Tracer
+from repro.providers.base import RequestContext
 from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
 from repro.providers.execution import (
+    CALLER_ERRORS,
+    CircuitBreaker,
     ExecutionEngine,
     ExecutionPolicy,
     FetchStatus,
@@ -74,15 +68,22 @@ from repro.providers.registry import EndpointRegistry
 from repro.providers.suite import default_spec
 from repro.util.clock import SimulationClock
 
-#: Per-member fetch cap for federated search fan-outs; mirrors
-#: :attr:`QueryEvaluator.fetch_limit` so a member contributes its full
-#: match list and the merge can never lose a global top-k entry.
+#: Cap on one member's contribution to a federated ``total``; mirrors
+#: :attr:`QueryEvaluator.fetch_limit`.  A member whose match count
+#: reaches it flags the result ``truncated``.
 FETCH_LIMIT = 10_000
 
 
-def member_search_endpoint_uri(catalog_id: str) -> str:
-    """The federation-registry URI of one member's search endpoint."""
-    return f"fed://{catalog_id}/search"
+def _member_marker(
+    catalog_id: str, status: FetchStatus, detail: str
+) -> ProviderHealth:
+    """The health marker of a member that contributed nothing."""
+    return ProviderHealth(
+        provider=catalog_id,
+        endpoint=f"fed://{catalog_id}/search",
+        status=status.value,
+        detail=detail,
+    )
 
 
 @dataclass(frozen=True)
@@ -110,17 +111,19 @@ class FederatedSearchResult:
     query: str
     entries: tuple[FederatedEntry, ...]
     total: int
-    #: True when any member's contribution filled :data:`FETCH_LIMIT` —
-    #: the merge may then under-report matches from that member.
+    #: True when any member's match count reached :data:`FETCH_LIMIT` —
+    #: ``total`` then under-reports that member's matches.
     truncated: bool = False
-    #: True when any member was served stale, skipped, or failed.
+    #: True when any member failed, or had a leaf served stale or skipped.
     degraded: bool = False
-    #: One marker per degraded member fetch explaining why.
+    #: One marker per failed member and per degraded leaf of a
+    #: responding member, in target order.  Over two or more targets a
+    #: leaf marker's ``provider`` is its member's id.
     health: tuple[ProviderHealth, ...] = ()
     #: Members whose results are present in ``entries``.
     responded: tuple[str, ...] = ()
-    #: Members that contributed nothing (error / open breaker / spent
-    #: deadline with no stale fallback).
+    #: Members that contributed nothing (an error, or skipped by an open
+    #: member guard).
     failed: tuple[str, ...] = ()
 
     def artifact_ids(self) -> list[str]:
@@ -171,81 +174,10 @@ class _Member:
     catalog_id: str
     store: CatalogStore
     evaluator: QueryEvaluator
+    #: The member guard: consulted only by searches over two or more
+    #: targets, mutated under the federation's guard lock.
+    breaker: CircuitBreaker
     owned: bool = False
-
-
-# Fully keyed: the member evaluator passes user and team to context readers.
-@reads_context("user_id", "team_id", "limit")
-class _MemberSearchEndpoint:
-    """The fan-out leaf: one member's full scored match list.
-
-    Runs the member's own evaluator at the federation fetch cap.  The
-    merge needs only each member's top ``limit`` entries, but the
-    federated ``total`` counts the members' returned rows, so a member
-    must return every match up to the cap for ``total`` (and
-    ``truncated``) to mean what a one-target search reports.  The
-    result rides the execution layer's normal ``ProviderResult``
-    envelope, so the federation engine can cache, stale-serve and
-    invalidate it like any provider payload.  Used for searches over
-    two or more targets only.
-    """
-
-    def __init__(self, member: _Member):
-        self._member = member
-
-    def __call__(self, request: ProviderRequest):
-        from repro.providers.base import (
-            ProviderResult,
-            Representation,
-            ScoredArtifact,
-        )
-
-        query = request.input("query")
-        context = RequestContext(
-            user_id=request.context.user_id,
-            team_id=request.context.team_id,
-            limit=FETCH_LIMIT,
-        )
-        result = self._member.evaluator.search(
-            query, context=context, limit=FETCH_LIMIT
-        )
-        return ProviderResult(
-            representation=Representation.LIST,
-            items=tuple(
-                ScoredArtifact(artifact_id=e.artifact_id, score=e.score)
-                for e in result.entries
-            ),
-        )
-
-
-class _FederatedStoreView:
-    """Duck-typed version surface the federation engine invalidates on.
-
-    The engine only needs ``version``/``domain_versions`` from its store
-    to check dependent cache entries; summing the members' counters (plus
-    a membership generation bumped on add/remove/default changes) means
-    any member write — on any backend — invalidates federated search
-    caches conservatively.  No event log is exposed, so the engine takes
-    its coarse drop path rather than attempting cross-catalog deltas.
-    """
-
-    def __init__(self, catalog: "FederatedCatalog"):
-        self._catalog = catalog
-
-    @property
-    def version(self) -> int:
-        total = self._catalog._generation
-        for member in self._catalog._members.values():
-            total += member.store.version
-        return total
-
-    @property
-    def domain_versions(self) -> dict[str, int]:
-        totals = {domain: self._catalog._generation for domain in DOMAINS}
-        for member in self._catalog._members.values():
-            for domain, value in member.store.domain_versions.items():
-                totals[domain] = totals.get(domain, 0) + value
-        return totals
 
 
 class FederatedCatalog:
@@ -271,44 +203,31 @@ class FederatedCatalog:
         self._language = QueryLanguage(self._spec)
         self._members: dict[str, _Member] = {}
         self._default_id: str | None = None
-        #: Bumped on membership/topology changes so the engine's
-        #: version-keyed caches can never serve a pre-change merge.
-        self._generation = 0
-        self._registry = EndpointRegistry()
-        self._store_view = _FederatedStoreView(self)
-        self._engine = ExecutionEngine(
-            self._registry,
-            store=self._store_view,
-            policy=self._policy,
-            clock=self._clock,
-        )
+        self._guard_lock = threading.Lock()
+        #: The member guard's time source: the member engines' clock.
+        self._now = clock.now if clock is not None else time.perf_counter
         self._cross_edges: list[CrossCatalogEdge] = []
-        #: Shared tracer, when tracing is enabled via :meth:`set_tracer`.
-        self._tracer: "Tracer | None" = None
+        self._tracer: Tracer = NOOP_TRACER
 
     # -- observability -----------------------------------------------------
 
-    def set_tracer(self, tracer: "Tracer") -> None:
-        """Share one tracer across the federation and member engines.
+    def set_tracer(self, tracer: Tracer) -> None:
+        """Share one tracer across the federation and its member engines.
 
-        A federated search fans out through the federation engine into
-        member evaluators running on their *own* engines; giving every
-        engine the same tracer instance keeps the whole fan-out in one
-        trace (member-side spans parent under the federation's fetch
-        spans via the engine's cross-thread context propagation).  A
-        one-target search's member spans sit directly below
-        ``federation.search``.
-        Members added later inherit the tracer automatically.
+        A federated search calls each member's evaluator in turn, on the
+        member's *own* engine; giving every engine the same tracer
+        instance keeps the whole search in one trace, with each member's
+        ``query.search`` directly below ``federation.search``.  Members
+        added later inherit the tracer automatically.
         """
         self._tracer = tracer
-        self._engine.tracer = tracer
         for member in self._members.values():
             member.evaluator.engine.tracer = tracer
 
     @property
-    def tracer(self) -> "Tracer":
-        """The active tracer (the engine's no-op tracer by default)."""
-        return self._engine.tracer
+    def tracer(self) -> Tracer:
+        """The active tracer (the shared no-op tracer by default)."""
+        return self._tracer
 
     # -- membership --------------------------------------------------------
 
@@ -338,34 +257,27 @@ class FederatedCatalog:
             store=store,
             policy=self._policy,
             clock=self._clock,
+            tracer=self._tracer,
         )
-        if self._tracer is not None:
-            engine.tracer = self._tracer
         install_builtin_endpoints(engine.registry, BuiltinProviders(store))
         evaluator = QueryEvaluator(
             store, engine, self._language, Ranker(FieldResolver(store))
         )
-        member = _Member(
+        self._members[catalog_id] = _Member(
             catalog_id=catalog_id,
             store=store,
             evaluator=evaluator,
+            breaker=CircuitBreaker(self._policy.breaker_failure_threshold),
             owned=owned,
-        )
-        self._members[catalog_id] = member
-        self._registry.register(
-            member_search_endpoint_uri(catalog_id),
-            _MemberSearchEndpoint(member),
         )
         if default or self._default_id is None:
             self._default_id = catalog_id
-        self._generation += 1
         return CatalogRef(catalog_id=catalog_id, artifact_id="")
 
     def set_default(self, catalog_id: str) -> None:
         """Make *catalog_id* the member bare ids resolve against."""
         self._member(catalog_id)
         self._default_id = catalog_id
-        self._generation += 1
 
     @property
     def default_id(self) -> str | None:
@@ -383,16 +295,19 @@ class FederatedCatalog:
         """The engine one member's provider leaves run on."""
         return self._member(catalog_id).evaluator.engine
 
-    @property
-    def registry(self) -> EndpointRegistry:
-        """The federation-level registry holding the member endpoints."""
-        return self._registry
-
-    @property
-    def engine(self) -> ExecutionEngine:
-        """The federation-level execution engine the fan-out runs on
-        (a one-target search never touches it; see :meth:`member_engine`)."""
-        return self._engine
+    def member_health(self) -> dict[str, dict]:
+        """Each member guard's state, registration order: breaker state,
+        consecutive failures and seconds until a probe is admitted."""
+        now = self._now()
+        with self._guard_lock:
+            return {
+                catalog_id: {
+                    "breaker": member.breaker.state.value,
+                    "consecutive_failures": member.breaker.consecutive_failures,
+                    "retry_after_s": round(member.breaker.retry_after_s(now), 3),
+                }
+                for catalog_id, member in self._members.items()
+            }
 
     def _member(self, catalog_id: str) -> _Member:
         try:
@@ -488,15 +403,6 @@ class FederatedCatalog:
         parsed = self.parse(ref)
         return self._member(parsed.catalog_id).store.usage_stats(parsed.artifact_id)
 
-    @property
-    def version(self) -> int:
-        """Aggregate mutation counter (member sums + membership changes)."""
-        return self._store_view.version
-
-    @property
-    def domain_versions(self) -> dict[str, int]:
-        return self._store_view.domain_versions
-
     # -- search ------------------------------------------------------------
 
     def search(
@@ -511,48 +417,56 @@ class FederatedCatalog:
     ) -> FederatedSearchResult:
         """Search every member (or just *members*) and merge.
 
-        With one target the member's evaluator runs directly, at
-        *limit* and under *budget_ms*: ``total`` is its match count
-        capped at :data:`FETCH_LIMIT`, and its own degradation (a leaf
-        served stale, or skipped by an open breaker or a spent budget)
+        The query is compiled once; each target's evaluator then runs in
+        turn at *limit*, under one deadline built from *budget_ms*.  A
+        member reached after the deadline expires reports its leaves
+        skipped.  ``total`` sums each member's match count capped at
+        :data:`FETCH_LIMIT`, and a member's own degradation (a leaf
+        served stale, or skipped by an open breaker or the spent budget)
         flags the result with that leaf's health marker.
 
-        With two or more targets, one :meth:`ExecutionEngine.
-        execute_many` batch over the ``fed://<id>/search`` endpoints:
-        each member fetch runs under its own breaker/retry/cache state
-        and the shared *budget_ms* deadline.
+        A member that fails is dropped from the merge and the result is
+        flagged ``degraded`` with a ``fed://<id>/search`` marker —
+        partial answers beat no answer, which is the federation's
+        explicit departure from the single-catalog evaluator's
+        fail-loudly contract.  Over two or more targets, a member whose
+        guard has tripped on consecutive failures is skipped with a
+        "circuit open" marker until its half-open probe succeeds.
 
-        Either way, a member that fails (or, fanned out, trips its
-        breaker or exhausts the budget) is dropped from the merge and
-        the result is flagged ``degraded`` with a per-member health
-        marker — partial answers beat no answer, which is the
-        federation's explicit departure from the single-catalog
-        evaluator's fail-loudly contract.
-
-        A malformed query is the caller's error, not a member's: it is
-        parsed once before the fan-out and raises
-        :class:`~repro.errors.QuerySyntaxError`, so it never counts
-        against a member's breaker.
+        A malformed query is the caller's error, not a member's: it
+        raises :class:`~repro.errors.QuerySyntaxError` before any member
+        runs.  An unknown field or provider fails every target with an
+        error marker, and never counts against a member guard.
         """
         if not self._members:
             raise FederationError("no member catalogs registered")
         targets = list(members) if members is not None else list(self._members)
         for catalog_id in targets:
             self._member(catalog_id)
-        parse_query(query)
-        with self._engine.tracer.span("federation.search") as span:
+        try:
+            compiled = self._language.compile(query)
+        except QueryCompileError as exc:
+            compiled, compile_error = None, exc
+        with self._tracer.span("federation.search") as span:
             if span:
                 span.set("query", query)
                 span.set("members", ",".join(targets))
-            search = self._search_one if len(targets) == 1 else self._search_fanout
-            result = search(
-                query,
-                targets,
-                user_id=user_id,
-                team_id=team_id,
-                limit=limit,
-                budget_ms=budget_ms,
-            )
+            if compiled is None:
+                result = FederatedSearchResult(
+                    query=query,
+                    entries=(),
+                    total=0,
+                    degraded=True,
+                    health=tuple(
+                        _member_marker(c, FetchStatus.ERROR, str(compile_error))
+                        for c in targets
+                    ),
+                    failed=tuple(targets),
+                )
+            else:
+                result = self._search(
+                    compiled, targets, user_id, team_id, limit, budget_ms
+                )
             if span:
                 span.set("responded", len(result.responded))
                 span.set("failed", len(result.failed))
@@ -563,137 +477,96 @@ class FederatedCatalog:
                     span.set("truncated", True)
             return result
 
-    def _search_one(
+    def _search(
         self,
-        query: str,
+        compiled: CompiledQuery,
         targets: list[str],
-        *,
         user_id: str,
         team_id: str,
         limit: int,
         budget_ms: float | None,
     ) -> FederatedSearchResult:
-        """The one-target search: the member evaluator, no federation hop.
-
-        Returns what :meth:`_search_fanout` returns for the same target
-        — entries, ``total``, ``truncated``, and an error mapped to the
-        ``fed://<id>/search`` marker — plus the member's own degradation.
-        """
-        (catalog_id,) = targets
+        """The member loop behind :meth:`search`."""
         cap = min(limit, FETCH_LIMIT)
-        try:
-            result = self._members[catalog_id].evaluator.search(
-                query,
-                context=RequestContext(
-                    user_id=user_id, team_id=team_id, limit=cap
-                ),
-                limit=cap,
-                budget_ms=budget_ms,
-            )
-        except HumboldtError as exc:
-            marker = ProviderHealth(
-                provider=catalog_id,
-                endpoint=member_search_endpoint_uri(catalog_id),
-                status=FetchStatus.ERROR.value,
-                detail=str(exc),
-            )
-            return FederatedSearchResult(
-                query=query,
-                entries=(),
-                total=0,
-                degraded=True,
-                health=(marker,),
-                failed=(catalog_id,),
-            )
-        return FederatedSearchResult(
-            query=query,
-            entries=tuple(
-                FederatedEntry(
-                    ref=CatalogRef(catalog_id, entry.artifact_id),
-                    score=entry.score,
-                )
-                for entry in result.entries
-            ),
-            total=min(result.total, FETCH_LIMIT),
-            truncated=result.total >= FETCH_LIMIT,
-            degraded=result.degraded,
-            health=result.health,
-            responded=(catalog_id,),
-        )
-
-    def _search_fanout(
-        self,
-        query: str,
-        targets: list[str],
-        *,
-        user_id: str,
-        team_id: str,
-        limit: int,
-        budget_ms: float | None,
-    ) -> FederatedSearchResult:
-        calls = [
-            (
-                member_search_endpoint_uri(catalog_id),
-                ProviderRequest(
-                    inputs={"query": query},
-                    context=RequestContext(
-                        user_id=user_id, team_id=team_id, limit=FETCH_LIMIT
-                    ),
-                ),
-            )
-            for catalog_id in targets
-        ]
-        deadline = self._engine.deadline(budget_ms)
-        outcomes = self._engine.execute_many(calls, deadline=deadline)
-
+        context = RequestContext(user_id=user_id, team_id=team_id, limit=cap)
+        # Every member engine runs on the same clock, so any of them can
+        # build the one deadline the whole search shares.
+        deadline = self._members[targets[0]].evaluator.engine.deadline(budget_ms)
+        many = len(targets) > 1
+        guarded = many and self._policy.breaker_enabled
         entries: list[FederatedEntry] = []
         health: list[ProviderHealth] = []
         responded: list[str] = []
         failed: list[str] = []
         total = 0
         truncated = False
-        degraded = False
-        for catalog_id, outcome in zip(targets, outcomes):
-            if outcome.status is FetchStatus.ERROR or outcome.result is None:
+        for catalog_id in targets:
+            member = self._members[catalog_id]
+            if guarded and not self._guard_allows(member):
                 failed.append(catalog_id)
-                degraded = True
-                health.append(outcome.health_marker(provider=catalog_id))
-                continue
-            if outcome.degraded:  # stale-served member payload
-                degraded = True
-                health.append(outcome.health_marker(provider=catalog_id))
-            responded.append(catalog_id)
-            items = outcome.result.items
-            total += len(items)
-            if len(items) >= FETCH_LIMIT:
-                truncated = True
-            entries.extend(
-                FederatedEntry(
-                    ref=CatalogRef(catalog_id, item.artifact_id),
-                    score=item.score,
+                health.append(
+                    _member_marker(catalog_id, FetchStatus.SKIPPED, "circuit open")
                 )
-                for item in items
+                continue
+            ok = False
+            try:
+                result = member.evaluator.search(
+                    compiled, context=context, limit=cap, deadline=deadline
+                )
+                ok = True
+            except HumboldtError as exc:
+                # A caller error says the request was wrong, not that the
+                # member is down: it answered.
+                ok = isinstance(exc, CALLER_ERRORS)
+                failed.append(catalog_id)
+                health.append(
+                    _member_marker(catalog_id, FetchStatus.ERROR, str(exc))
+                )
+                continue
+            finally:
+                # Also on an unexpected exception, so that a half-open
+                # probe never stays in flight.
+                if guarded:
+                    self._guard_record(member, ok)
+            responded.append(catalog_id)
+            total += min(result.total, FETCH_LIMIT)
+            truncated = truncated or result.total >= FETCH_LIMIT
+            health.extend(
+                # Over several members, a leaf marker names its member.
+                replace(marker, provider=catalog_id) if many else marker
+                for marker in result.health
+            )
+            entries.extend(
+                FederatedEntry(CatalogRef(catalog_id, e.artifact_id), e.score)
+                for e in result.entries
             )
         # Rank-aware interleave: scores are rounded per-artifact exactly
         # as Ranker.top_k rounds them, so (-score, bare id) reproduces
         # the ordering one merged catalog would produce; the catalog id
         # breaks the (disjoint-members-impossible) exact tie.
-        entries.sort(
-            key=lambda e: (-e.score, e.ref.artifact_id, e.ref.catalog_id)
-        )
-        unique_markers: dict[tuple[str, str], ProviderHealth] = {}
-        for marker in health:
-            unique_markers.setdefault((marker.provider, marker.status), marker)
+        entries.sort(key=lambda e: (-e.score, e.ref.artifact_id, e.ref.catalog_id))
         return FederatedSearchResult(
-            query=query,
+            query=compiled.text,
             entries=tuple(entries[: max(limit, 0)]),
             total=total,
             truncated=truncated,
-            degraded=degraded,
-            health=tuple(unique_markers.values()),
+            # Every marker is a failed member or a member's degraded leaf.
+            degraded=bool(health),
+            health=tuple(health),
             responded=tuple(responded),
             failed=tuple(failed),
         )
+
+    def _guard_allows(self, member: _Member) -> bool:
+        with self._guard_lock:
+            return member.breaker.allow(self._now())
+
+    def _guard_record(self, member: _Member, ok: bool) -> None:
+        with self._guard_lock:
+            if ok:
+                member.breaker.record_success(self._now())
+            else:
+                member.breaker.record_failure(self._now())
 
     # -- cross-catalog lineage ---------------------------------------------
 
@@ -727,7 +600,6 @@ class FederatedCatalog:
         edge = CrossCatalogEdge(src=src_ref, dst=dst_ref, kind=kind)
         if edge not in self._cross_edges:
             self._cross_edges.append(edge)
-            self._generation += 1
         return edge
 
     def cross_edges(self) -> tuple[CrossCatalogEdge, ...]:
@@ -821,7 +693,6 @@ class FederatedCatalog:
         caller-provided stores are only flushed — their lifecycle stays
         with the caller.
         """
-        self._engine.close()
         for member in self._members.values():
             member.evaluator.engine.close()
             if member.owned:
@@ -844,5 +715,4 @@ __all__ = [
     "FederatedEntry",
     "FederatedLineage",
     "FederatedSearchResult",
-    "member_search_endpoint_uri",
 ]

@@ -20,10 +20,9 @@ both shapes of deployment::
 A single-catalog ``open(source)`` is just a one-member federation named
 ``main`` — bare artifact ids keep resolving exactly as before, and the
 same object grows to N members without the call sites changing.  It
-costs nothing over the bare evaluator: a search with one target calls
-that member's evaluator directly at the caller's limit, and only a
-search over two or more members fans out through the federation
-engine's ``fed://<id>/search`` endpoints.
+costs nothing over the bare evaluator: a search calls each target
+member's evaluator directly at the caller's limit, one after another,
+so a one-member search is that member's search.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from repro.federation.catalog import (
     FederatedSearchResult,
 )
 from repro.federation.refs import CatalogRef, FederationError
-from repro.providers.execution import ExecutionEngine, ExecutionPolicy
+from repro.providers.execution import ExecutionPolicy
 from repro.util.clock import SimulationClock
 
 #: The member name a single-catalog ``Discovery.open(source)`` uses.
@@ -136,14 +135,9 @@ class Discovery:
     def default_member(self) -> str | None:
         return self.federation.default_id
 
-    @property
-    def engine(self) -> ExecutionEngine:
-        """The federation-level execution engine (fan-out health, stats)."""
-        return self.federation.engine
-
     def render_health(self) -> str:
-        """Endpoint resilience state: the federation engine's table, then
-        each member engine's under its member id."""
+        """Resilience state: one member-guard line per member, then each
+        member engine's endpoint table under its member id."""
         return self._render_engines(lambda engine: engine.render_health())
 
     def render_stats(self) -> str:
@@ -152,7 +146,13 @@ class Discovery:
 
     def _render_engines(self, table) -> str:
         federation = self.federation
-        sections = [table(federation.engine)]
+        guard = [f"{'member guard':<32}{'breaker':>10}{'fails':>7}{'retry s':>9}"]
+        for catalog_id, row in federation.member_health().items():
+            guard.append(
+                f"{catalog_id:<32}{row['breaker']:>10}"
+                f"{row['consecutive_failures']:>7}{row['retry_after_s']:>9.1f}"
+            )
+        sections = ["\n".join(guard)]
         for catalog_id in federation.member_ids():
             engine = federation.member_engine(catalog_id)
             sections.append(f"member {catalog_id}:\n{table(engine)}")

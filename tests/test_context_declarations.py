@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.model import ArtifactType
-from repro.federation.catalog import _MemberSearchEndpoint
 from repro.providers.base import (
     CONTEXT_FIELDS,
     ProviderRequest,
@@ -100,13 +99,6 @@ class TestDeclarationsPresent:
         assert _REGISTRY.registration("decl://lookup").context == {"limit"}
         assert _REGISTRY.registration("decl://rule").context == frozenset()
         assert _REGISTRY.registration("decl://rule_usage").context == frozenset()
-
-    def test_member_search_is_fully_keyed(self):
-        registry = EndpointRegistry()
-        registry.register("fed://m/search", _MemberSearchEndpoint(None))
-        assert registry.registration("fed://m/search").context == set(
-            CONTEXT_FIELDS
-        )
 
     def test_builtin_table(self):
         expected = {

@@ -10,6 +10,8 @@ zero cross-catalog leakage.
 from __future__ import annotations
 
 import random
+import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -27,14 +29,19 @@ from repro.federation import (
     FederationError,
     UnknownCatalogError,
     federate,
-    member_search_endpoint_uri,
     parse_ref,
     partition_catalog,
     validate_catalog_id,
 )
 from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
-from repro.providers.execution import ExecutionEngine, RequestContext
-from repro.providers.faults import FlakyEndpoint
+from repro.providers.execution import (
+    BREAKER_RESET_TIMEOUT_S,
+    ExecutionEngine,
+    ExecutionPolicy,
+    ProviderHealth,
+    RequestContext,
+)
+from repro.providers.faults import FlakyEndpoint, LatencySpikeEndpoint
 from repro.providers.fields import FieldResolver
 from repro.providers.registry import EndpointRegistry
 from repro.providers.suite import default_spec
@@ -191,18 +198,20 @@ class TestConformance:
             "orders | sales",
         ]
         for query in queries:
-            expected = mono.search(
-                query,
-                context=RequestContext(user_id=user_id, team_id=team_id),
-                limit=50,
-            )
-            got = federation.search(
-                query, user_id=user_id, team_id=team_id, limit=50
-            )
-            expected_ids = [e.artifact_id for e in expected.entries]
-            assert got.bare_ids() == expected_ids, query
-            assert got.total == expected.total, query
-            assert not got.degraded, query
+            for limit in (0, 1, 20, 50_000):
+                expected = mono.search(
+                    query,
+                    context=RequestContext(user_id=user_id, team_id=team_id),
+                    limit=limit,
+                )
+                got = federation.search(
+                    query, user_id=user_id, team_id=team_id, limit=limit
+                )
+                label = f"{query!r} limit={limit}"
+                expected_ids = [e.artifact_id for e in expected.entries]
+                assert got.bare_ids() == expected_ids, label
+                assert got.total == expected.total, label
+                assert not got.degraded, label
 
     def test_zero_cross_catalog_leakage(self, setup):
         store, federation, partition, _ = setup
@@ -240,11 +249,13 @@ class TestConformance:
 class TestDegradation:
     def test_failing_member_degrades_instead_of_failing(self):
         with two_member_federation() as federation:
-            uri = member_search_endpoint_uri("right")
-            original = federation.registry.resolve(uri)
-            federation.registry.register(
+            registry = federation.member_engine("right").registry
+            uri = "catalog://of_type"
+            registry.register(
                 uri,
-                FlakyEndpoint(original, fail_on=lambda i: True, name="right"),
+                FlakyEndpoint(
+                    registry.resolve(uri), fail_on=lambda i: True, name=uri
+                ),
                 replace=True,
             )
             result = federation.search("type: table", user_id="u-ann")
@@ -254,6 +265,32 @@ class TestDegradation:
             # Partial answer: only the healthy member's artifacts.
             assert result.artifact_ids() == ["left:t-orders"]
             assert any(m.provider == "right" for m in result.health)
+
+    def test_compile_errors_do_not_open_member_breakers(self, corpus):
+        """The members share the federation's query language, so an
+        unknown field is the query's fault: each search fails every
+        target with one error marker, and none counts as a member
+        failure, however many reach the default breaker threshold."""
+        federation, _ = federate(corpus, 2)
+        with federation:
+            for _ in range(6):
+                result = federation.search("nosuchfield: x")
+                assert result.degraded and result.total == 0
+                assert result.failed == ("cat0", "cat1")
+                assert result.responded == ()
+                assert [
+                    (m.provider, m.endpoint, m.status) for m in result.health
+                ] == [
+                    ("cat0", "fed://cat0/search", "error"),
+                    ("cat1", "fed://cat1/search", "error"),
+                ]
+                assert all("nosuchfield" in m.detail for m in result.health)
+            healthy = federation.search("type: table")
+            assert healthy.failed == () and not healthy.degraded
+            assert healthy.total > 0
+            assert {
+                row["breaker"] for row in federation.member_health().values()
+            } == {"closed"}
 
     def test_member_scoping(self):
         with two_member_federation() as federation:
@@ -272,6 +309,214 @@ class TestDegradation:
         federation = FederatedCatalog()
         with pytest.raises(FederationError, match="no member"):
             federation.search("orders")
+
+
+# ---------------------------------------------------------------------------
+# the member guard and the shared deadline
+
+
+def _guarded_federation(clock, **policy) -> tuple[FederatedCatalog, list]:
+    """Two members on *clock*; ``right``'s type leaf fails while the
+    returned one-element list holds True."""
+    left, right = two_member_stores()
+    federation = FederatedCatalog(
+        policy=ExecutionPolicy.defaults().replace(attempts=1, **policy),
+        clock=clock,
+    )
+    federation.add_member("left", left)
+    federation.add_member("right", right)
+    broken = [True]
+    registry = federation.member_engine("right").registry
+    uri = "catalog://of_type"
+    registry.register(
+        uri,
+        FlakyEndpoint(registry.resolve(uri), fail_on=lambda i: broken[0]),
+        replace=True,
+    )
+    return federation, broken
+
+
+class TestMemberGuard:
+    def test_breaker_trips_half_opens_and_closes(self):
+        clock = SimulationClock()
+        federation, broken = _guarded_federation(
+            clock, breaker_failure_threshold=2
+        )
+        with federation:
+            for _ in range(2):
+                result = federation.search("type: table", user_id="u-ann")
+                assert result.failed == ("right",)
+                assert result.health[0].status == "error"
+            assert federation.member_health()["right"] == {
+                "breaker": "open",
+                "consecutive_failures": 2,
+                "retry_after_s": 30.0,
+            }
+            leaf = federation.member_engine("right").stats.endpoint(
+                "catalog://of_type"
+            )
+            calls = leaf.calls
+            skipped = federation.search("type: table", user_id="u-ann")
+            assert skipped.degraded and skipped.failed == ("right",)
+            assert skipped.artifact_ids() == ["left:t-orders"]
+            assert [
+                (m.provider, m.endpoint, m.status, m.detail)
+                for m in skipped.health
+            ] == [("right", "fed://right/search", "skipped", "circuit open")]
+            assert federation.member_engine("right").stats.endpoint(
+                "catalog://of_type"
+            ).calls == calls
+            # A one-target search has no member guard: the member runs,
+            # and only its own (also tripped) leaf breaker skips.
+            alone = federation.search(
+                "type: table", user_id="u-ann", members=["right"]
+            )
+            assert alone.responded == ("right",) and alone.failed == ()
+            assert [(m.endpoint, m.status) for m in alone.health] == [
+                ("catalog://of_type", "skipped")
+            ]
+
+            clock.advance(seconds=BREAKER_RESET_TIMEOUT_S - 1)
+            assert federation.search("type: table").failed == ("right",)
+            assert federation.member_health()["right"]["breaker"] == "open"
+            clock.advance(seconds=1)
+            # The half-open probe fails: open again, for a full timeout.
+            probe = federation.search("type: table", user_id="u-ann")
+            assert probe.health[0].status == "error"
+            assert federation.member_health()["right"]["breaker"] == "open"
+            assert federation.member_health()["right"]["retry_after_s"] == (
+                BREAKER_RESET_TIMEOUT_S
+            )
+
+            clock.advance(seconds=BREAKER_RESET_TIMEOUT_S)
+            broken[0] = False
+            healed = federation.search("type: table", user_id="u-ann")
+            assert not healed.degraded
+            assert healed.artifact_ids() == ["left:t-orders", "right:t-returns"]
+            assert federation.member_health()["right"] == {
+                "breaker": "closed",
+                "consecutive_failures": 0,
+                "retry_after_s": 0.0,
+            }
+
+    def test_concurrent_searches_share_one_guard(self):
+        """Eight threads fail ``right`` exactly threshold times between
+        them, so the guard opens on the last one only if no failure was
+        lost to a racing update; once the reset timeout passes, eight
+        more concurrent searches let exactly one half-open probe through."""
+        searches = 200
+        clock = SimulationClock()
+        federation, _ = _guarded_federation(
+            clock, breaker_failure_threshold=searches
+        )
+        registry = federation.member_engine("right").registry
+        failing = registry.resolve("catalog://of_type")
+
+        def slow_failure(request):
+            # Real time, so the other threads reach the guard while a
+            # half-open probe is still in flight.
+            time.sleep(0.02)
+            return failing(request)
+
+        registry.register("catalog://of_type", slow_failure, replace=True)
+
+        def run(count: int) -> list:
+            futures = [
+                pool.submit(federation.search, "type: table")
+                for _ in range(count)
+            ]
+            return [
+                [(m.endpoint, m.status) for m in future.result(timeout=60).health]
+                for future in futures
+            ]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with federation, ThreadPoolExecutor(max_workers=8) as pool:
+                failures = run(searches)
+                tripped = federation.member_health()["right"]
+                clock.advance(seconds=BREAKER_RESET_TIMEOUT_S)
+                probes = run(8)
+        finally:
+            sys.setswitchinterval(switch)
+        member = "fed://right/search"
+        assert failures == [[(member, "error")]] * searches
+        assert tripped["breaker"] == "open"
+        assert tripped["consecutive_failures"] == searches
+        assert sorted(probes) == (
+            [[(member, "error")]] + [[(member, "skipped")]] * 7
+        )
+
+    def test_probe_that_raises_unexpectedly_reopens_the_breaker(self):
+        """A bug escaping a member is not swallowed, and still counts:
+        the half-open probe it ends cannot stay in flight."""
+        clock = SimulationClock()
+        federation, broken = _guarded_federation(
+            clock, breaker_failure_threshold=1
+        )
+        registry = federation.member_engine("right").registry
+        flaky = registry.resolve("catalog://of_type")
+        bug = [False]
+
+        def endpoint(request):
+            if bug[0]:
+                raise KeyError("bug")
+            return flaky(request)
+
+        registry.register("catalog://of_type", endpoint, replace=True)
+        with federation:
+            assert federation.search("type: table").failed == ("right",)
+            clock.advance(seconds=BREAKER_RESET_TIMEOUT_S)
+            bug[0] = True
+            with pytest.raises(KeyError):
+                federation.search("type: table")
+            assert federation.member_health()["right"]["breaker"] == "open"
+            clock.advance(seconds=BREAKER_RESET_TIMEOUT_S)
+            bug[0] = broken[0] = False
+            assert federation.search("type: table").failed == ()
+            assert federation.member_health()["right"]["breaker"] == "closed"
+
+    def test_breaker_off_never_skips_a_member(self):
+        federation, _ = _guarded_federation(
+            SimulationClock(), breaker_enabled=False,
+            breaker_failure_threshold=1,
+        )
+        with federation:
+            for _ in range(3):
+                result = federation.search("type: table", user_id="u-ann")
+                assert [m.status for m in result.health] == ["error"]
+            assert federation.member_health()["right"]["breaker"] == "closed"
+
+    def test_spent_shared_deadline_skips_later_members_leaves(self):
+        """One deadline spans the member loop: ``left``'s slow leaf
+        spends it, so ``right`` answers with its leaf skipped."""
+        clock = SimulationClock()
+        federation, broken = _guarded_federation(clock)
+        broken[0] = False
+        registry = federation.member_engine("left").registry
+        uri = "catalog://of_type"
+        registry.register(
+            uri,
+            LatencySpikeEndpoint(registry.resolve(uri), clock, [200.0]),
+            replace=True,
+        )
+        with federation:
+            result = federation.search(
+                "type: table", user_id="u-ann", budget_ms=100.0
+            )
+        assert result.degraded
+        assert result.responded == ("left", "right") and result.failed == ()
+        assert result.artifact_ids() == ["left:t-orders"]
+        assert result.total == 1
+        assert result.health == (
+            ProviderHealth(
+                provider="right",
+                endpoint=uri,
+                status="skipped",
+                detail="deadline exhausted",
+            ),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +654,14 @@ class TestDiscoveryFacade:
             result = discovery.search("type: table", user_id="u-ann")
             assert result.artifact_ids() == ["main:t-orders"]
             assert discovery.artifact("t-orders").name == "ORDERS"
-            # The search ran on the member engine, and health shows it.
-            federation_table, member_table = discovery.render_health().split(
+            # The search ran on the member engine, and health shows it
+            # below the member's guard line.
+            guard_table, member_table = discovery.render_health().split(
                 "member main:"
             )
-            assert "(no fetches recorded)" in federation_table
+            assert guard_table.splitlines()[1].split() == [
+                "main", "closed", "0", "0.0"
+            ]
             assert "catalog://of_type" in member_table
 
     def test_federated_open_with_default(self):
@@ -528,4 +776,3 @@ class TestDiscoveryFacade:
             assert "right:d-sales" in lineage.nodes
             d.search("orders", user_id="u-ann")
             assert isinstance(d.render_health(), str)
-            assert d.engine is d.federation.engine

@@ -188,22 +188,20 @@ class TestFederationFanOut:
         assert root.attrs["responded"] == 3
         assert root.attrs["failed"] == 0
 
-        member_fetches = [
-            s for s in spans["engine.fetch"]
-            if s.attrs.get("endpoint", "").startswith("fed://")
-        ]
-        assert len(member_fetches) == 3
-        assert {s.trace_id for s in member_fetches} == {root.trace_id}
-
-        # Member evaluators ran on *their own* engines, yet their search
-        # spans are in the federation's trace, nested below the member
-        # invocation that triggered them.
+        # Member evaluators ran on *their own* engines, yet each member's
+        # search span sits directly below the federation's.
         member_searches = spans["query.search"]
         assert len(member_searches) == 3
         assert {s.trace_id for s in member_searches} == {root.trace_id}
-        invoke_ids = {s.span_id for s in spans["provider.invoke"]}
-        assert all(s.parent_id in invoke_ids for s in member_searches)
+        assert {s.parent_id for s in member_searches} == {root.span_id}
         assert len(spans["query.plan"]) == 3
+        assert spans["provider.invoke"]
+        assert {s.trace_id for s in spans["provider.invoke"]} == {root.trace_id}
+        hops = [
+            s for s in ring.spans()
+            if s.attrs.get("endpoint", "").startswith("fed://")
+        ]
+        assert hops == []
 
     def test_members_added_after_set_tracer_inherit_it(self, federation):
         tracer = Tracer(exporters=(RingBufferExporter(),))

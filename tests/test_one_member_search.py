@@ -1,13 +1,14 @@
-"""One-target federated search: the member evaluator, without the hop.
+"""One-target federated search: the member evaluator, without a hop.
 
 A search with exactly one target (every ``Discovery.open(source)``
 search, or a one-member ``members=[...]`` scope) runs that member's
-``QueryEvaluator`` directly.  It must return what the
-``fed://<id>/search`` fan-out returns for the same target, and what a
-bare evaluator on the same store returns: ids, order, scores, ``total``
-and ``truncated``.  The fan-out's failure contract carries over (member
-errors degrade, syntax errors raise), and the member's own degradation
-(a stale or skipped leaf) now reaches the result.
+``QueryEvaluator`` directly.  It must return what a bare evaluator on
+the same store returns: ids, order, scores, ``total`` and
+``truncated``.  Member errors degrade the result with a
+``fed://<id>/search`` marker, syntax errors raise, and the member's own
+degradation (a stale or skipped leaf) reaches the result.  One-target
+searches have no member guard, so none of this turns into a
+whole-member skip.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def callers(store: CatalogStore) -> list[tuple[str, str]]:
 
 
 def signature(result) -> tuple:
-    """What all three paths must agree on."""
+    """What the federation and the bare evaluator must agree on."""
     return (
         [entry.artifact_id for entry in result.entries],
         [entry.score for entry in result.entries],
@@ -117,35 +118,29 @@ def signature(result) -> tuple:
     )
 
 
-def federation_outcome(result) -> tuple:
-    return (
-        result.degraded,
-        result.health,
-        result.responded,
-        result.failed,
-    )
-
-
 def assert_equivalent(federation, target, evaluator, query, user, team, limit):
-    """One-target search == fan-out on *target* == the bare evaluator."""
+    """One-target search on *target* == the bare evaluator."""
     got = federation.search(
         query, user_id=user, team_id=team, limit=limit, members=[target]
     )
-    fanned = federation._search_fanout(
-        query, [target], user_id=user, team_id=team, limit=limit,
-        budget_ms=None,
-    )
     label = f"{query!r} user={user!r} team={team!r} limit={limit}"
-    assert signature(got) == signature(fanned), label
-    assert federation_outcome(got) == federation_outcome(fanned), label
     assert all(entry.ref.catalog_id == target for entry in got.entries)
     try:
         direct = evaluator.search(
             query, context=RequestContext(user_id=user, team_id=team),
             limit=limit,
         )
-    except HumboldtError:
+    except HumboldtError as exc:
         assert got.failed == (target,) and got.degraded, label
+        assert got.responded == () and got.entries == (), label
+        assert got.health == (
+            ProviderHealth(
+                provider=target,
+                endpoint=f"fed://{target}/search",
+                status="error",
+                detail=str(exc),
+            ),
+        ), label
         return got
     assert signature(got) == signature(direct), label
     assert not got.degraded and got.responded == (target,), label
@@ -154,6 +149,8 @@ def assert_equivalent(federation, target, evaluator, query, user, team, limit):
 
 class TestDifferential:
     def test_one_member_discovery_matches_fanout_and_evaluator(self, store):
+        """Every query shape, caller and limit, against the bare
+        evaluator as the reference."""
         evaluator = bare_evaluator(store)
         seen_recents = seen_team = 0
         with Discovery.open(store, policy=NO_BREAKER) as discovery:
@@ -180,20 +177,29 @@ class TestDifferential:
         assert len({entry.score for entry in mixed.entries}) > 1
 
     def test_fetch_cap_bounds_total_and_entries(self, store, monkeypatch):
-        """Past the cap, both paths report the capped total, flag
-        truncation and return at most the cap."""
+        """Past the cap, one member and two report the capped total per
+        member, flag truncation and return at most the cap per member,
+        each the head of the bare evaluator's ranking."""
         monkeypatch.setattr("repro.federation.catalog.FETCH_LIMIT", 5)
-        with Discovery.open(store, policy=NO_BREAKER) as discovery:
-            federation = discovery.federation
+        evaluator = bare_evaluator(store)
+        left = generate_catalog(SynthConfig(seed=3, n_tables=8))
+        with FederatedCatalog(policy=NO_BREAKER) as federation:
+            federation.add_member("main", store)
+            federation.add_member("left", left)
             for limit in (1, 5, 20):
-                got = federation.search("type: table", limit=limit)
-                fanned = federation._search_fanout(
-                    "type: table", ["main"], user_id="", team_id="",
-                    limit=limit, budget_ms=None,
+                head = evaluator.search("type: table", limit=min(limit, 5))
+                got = federation.search(
+                    "type: table", limit=limit, members=["main"]
                 )
-                assert signature(got) == signature(fanned)
+                assert signature(got)[:2] == signature(head)[:2]
                 assert got.total == 5 and got.truncated
                 assert len(got.entries) == min(limit, 5)
+                both = federation.search("type: table", limit=limit)
+                assert both.total == 10 and both.truncated
+                assert len(both.entries) == min(limit, 10)
+                assert both.responded == ("main", "left")
+        evaluator.engine.close()
+        left.close()
 
     def test_members_scope_on_a_two_member_federation(self, store):
         evaluator = bare_evaluator(store)
@@ -208,11 +214,12 @@ class TestDifferential:
                             federation, "right", evaluator, query, user,
                             team, limit,
                         )
-            calls = federation.engine.stats.total("calls")
+            left_engine = federation.member_engine("left")
+            calls = left_engine.stats.total("calls")
             got = federation.search("type: table", members=["right"])
             assert got.responded == ("right",)
-            # The scoped search never reaches the federation engine.
-            assert federation.engine.stats.total("calls") == calls
+            # The scoped search never reaches the other member.
+            assert left_engine.stats.total("calls") == calls
         evaluator.engine.close()
         left.close()
 
