@@ -133,8 +133,9 @@ def test_bench_invalidation_workload():
     queries = _queries(store)
 
     # Ground truth: identical store, caching disabled entirely.
-    oracle = WorkbookApp(store)
-    oracle.engine.policy = ExecutionPolicy.defaults().replace(cache_ttl_s=0)
+    oracle = WorkbookApp(
+        store, policy=ExecutionPolicy.defaults().replace(cache_ttl_s=0)
+    )
 
     with WorkbookApp(store) as app:
         aware = _run_workload(app, store, queries, iterations, oracle=oracle)

@@ -665,11 +665,13 @@ class ExecutionEngine:
     """Cached, parallel, instrumented, resilient execution of fetches.
 
     Thread-safety contract: one engine is safe to share across request
-    threads and tenants.  The cache, breakers and stats are guarded by
-    the engine lock; request-scoped state (:meth:`scope` memos, active
-    deadlines) is per-thread and explicitly handed to pool workers by
-    :meth:`execute_many`.  Concurrent misses on
-    one key are not coalesced: each invokes the provider.  See
+    threads and tenants.  Its policy is fixed when it is built.  The
+    cache, breakers and stats are guarded by the engine lock; an
+    endpoint gets a breaker on its first counted failure, and a fetch
+    looks it up without the lock.  Request-scoped state (:meth:`scope`
+    memos, active deadlines) is per-thread and explicitly handed to pool
+    workers by :meth:`execute_many`.  Concurrent misses on one key are
+    not coalesced: each invokes the provider.  See
     "The engine's concurrency contract" in ``docs/execution.md`` for
     the full contract.
     """
@@ -709,10 +711,6 @@ class ExecutionEngine:
         self._memos = threading.local()
         self._ambient = threading.local()
         self._pool: ThreadPoolExecutor | None = None
-        #: max_workers the live pool was built with; a policy swap that
-        #: changes the width retires the stale-sized pool (see the
-        #: ``policy`` setter).
-        self._pool_workers = 0
         # Innermost first: validation sits at the boundary, retries wrap
         # it (so a transient failure re-enters validation too), and
         # caller-supplied middlewares observe the whole stack.
@@ -741,34 +739,8 @@ class ExecutionEngine:
 
     @property
     def policy(self) -> ExecutionPolicy:
+        """The policy the engine was built with; it never changes."""
         return self._policy
-
-    @policy.setter
-    def policy(self, policy: ExecutionPolicy) -> None:
-        """Swap the policy, resetting the breakers.
-
-        Their thresholds were taken from the old policy, and
-        carrying tripped state across a reconfigure would surprise more
-        than it protects.  In-flight fetches finish under the old policy
-        and their breaker records are discarded (the breaker they gated
-        through no longer exists; see
-        :meth:`_breaker_record`).  A swap that changes ``max_workers``
-        retires the lazily-built thread pool so the next fan-out builds
-        one at the new width instead of silently keeping the stale size.
-        """
-        with self._lock:
-            stale_pool = None
-            if (
-                self._pool is not None
-                and policy.max_workers != self._pool_workers
-            ):
-                stale_pool, self._pool = self._pool, None
-            self._policy = policy
-            self._breakers.clear()
-        if stale_pool is not None:
-            # Outside the lock: running fan-outs keep their submitted
-            # futures; only new submissions move to the resized pool.
-            stale_pool.shutdown(wait=False)
 
     # -- deadlines ---------------------------------------------------------
 
@@ -1085,7 +1057,6 @@ class ExecutionEngine:
         """
         with self._lock:
             pool, self._pool = self._pool, None
-            self._pool_workers = 0
         if pool is not None:
             pool.shutdown(wait=True)
 
@@ -1290,14 +1261,11 @@ class ExecutionEngine:
 
     def _executor(self) -> ThreadPoolExecutor:
         """The fan-out pool, built lazily **under the engine lock** so two
-        first-callers racing can never each build (and one leak) a pool.
-        The width it was built with is recorded; a policy swap that
-        changes ``max_workers`` retires it (see the ``policy`` setter)."""
+        first-callers racing can never each build (and one leak) a pool."""
         with self._lock:
             if self._pool is None:
-                self._pool_workers = self._policy.max_workers
                 self._pool = ThreadPoolExecutor(
-                    max_workers=self._pool_workers,
+                    max_workers=self._policy.max_workers,
                     thread_name_prefix="humboldt-exec",
                 )
             return self._pool
@@ -1330,11 +1298,18 @@ class ExecutionEngine:
                     status=FetchStatus.SKIPPED,
                     reason="deadline exhausted",
                 )
-            breaker: CircuitBreaker | None = None
-            if policy.breaker_enabled:
-                allowed, retry_after, breaker = self._breaker_gate(
-                    endpoint, policy.breaker_failure_threshold, now
-                )
+            # Read without the lock: an endpoint that has never failed
+            # has no breaker, so its fetches take no breaker lock at all.
+            breaker = self._breakers.get(endpoint) if policy.breaker_enabled else None
+            if breaker is not None:
+                with self._lock:
+                    before = breaker.state
+                    allowed = breaker.allow(now)
+                    if breaker.state is not before:
+                        self.stats.record_breaker_state(
+                            endpoint, breaker.state.value
+                        )
+                    retry_after = breaker.retry_after_s(now)
                 if not allowed:
                     self.stats.count("breaker_rejections", endpoint)
                     stale = self._stale_outcome(endpoint, key, "circuit open")
@@ -1354,21 +1329,24 @@ class ExecutionEngine:
             stamp = self._stamp()
             stack = self._deadline_stack()
             stack.append(deadline)
+            ok = False
             try:
                 result = self._execute(endpoint, request)
+                ok = True
             except HumboldtError as exc:
                 # A caller error says the request was wrong, not that the
                 # endpoint is down: it answered, so it counts as a success.
-                self._breaker_record(
-                    endpoint, ok=isinstance(exc, CALLER_ERRORS), breaker=breaker
-                )
+                ok = isinstance(exc, CALLER_ERRORS)
                 if sp:
                     sp.set("outcome", "error")
                     sp.set("error", type(exc).__name__)
                 return FetchOutcome(endpoint, error=exc)
             finally:
                 stack.pop()
-            self._breaker_record(endpoint, ok=True, breaker=breaker)
+                # Also on an unexpected exception, so that a half-open
+                # probe never stays in flight.
+                if policy.breaker_enabled:
+                    self._breaker_record(endpoint, ok)
             self._remember(key, result, stamp, policy.cache_ttl_s)
             if sp:
                 sp.set("outcome", "ok")
@@ -1390,51 +1368,19 @@ class ExecutionEngine:
             reason=f"{reason}; serving cached result {age_s:.0f}s past TTL",
         )
 
-    def _breaker_gate(
-        self, endpoint: str, failure_threshold: int, now: float
-    ) -> tuple[bool, float, CircuitBreaker]:
-        """(allowed, retry_after_s, breaker); transitions open → half-open.
-
-        The breaker instance is returned so the post-fetch
-        :meth:`_breaker_record` can verify it is recording against the
-        *same* state machine it gated through — a policy swap mid-flight
-        replaces the breaker table, and recording a result against a
-        freshly-minted breaker would corrupt probe accounting and lose
-        trip state.
-        """
-        with self._lock:
-            breaker = self._breakers.get(endpoint)
-            if breaker is None:
-                breaker = self._breakers[endpoint] = CircuitBreaker(
-                    failure_threshold
-                )
-            before = breaker.state
-            allowed = breaker.allow(now)
-            if breaker.state is not before:
-                self.stats.record_breaker_state(endpoint, breaker.state.value)
-            return allowed, breaker.retry_after_s(now), breaker
-
-    def _breaker_record(
-        self,
-        endpoint: str,
-        ok: bool,
-        breaker: CircuitBreaker | None,
-    ) -> None:
-        """Record a fetch result against the breaker it gated through.
-
-        *breaker* is the instance :meth:`_breaker_gate` admitted this
-        fetch through (None when breaking was disabled at gate time).  If
-        a policy swap retired it while the fetch was in flight, the
-        record is dropped: the swap deliberately reset breaker state, and
-        minting a replacement here would both resurrect stale accounting
-        and race other threads into duplicate breakers for one endpoint.
-        """
-        if breaker is None:
+    def _breaker_record(self, endpoint: str, ok: bool) -> None:
+        """Record a fetch result on the endpoint's breaker, creating it
+        on the endpoint's first failure that counts.  A success of an
+        endpoint that has never failed records nothing."""
+        if ok and endpoint not in self._breakers:
             return
         now = self._timer()
         with self._lock:
-            if self._breakers.get(endpoint) is not breaker:
-                return
+            breaker = self._breakers.get(endpoint)
+            if breaker is None:  # a breaker, once made, is never removed
+                breaker = self._breakers[endpoint] = CircuitBreaker(
+                    self._policy.breaker_failure_threshold
+                )
             before = breaker.state
             if ok:
                 breaker.record_success(now)

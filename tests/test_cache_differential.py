@@ -216,7 +216,9 @@ class _Harness:
 
     def outage(self, index: int) -> None:
         """Fail *index*'s endpoint: the first fetch errors and opens its
-        breaker, the second is served stale (or skipped)."""
+        breaker, the second is served stale (or skipped).  Then the
+        endpoint recovers, and one fetch a reset timeout later is its
+        half-open probe, which closes the breaker."""
         uri, request = REQUESTS[index]
         self.failing.add(uri)
         try:
@@ -224,7 +226,9 @@ class _Harness:
                 self.check(index, self.cached.execute(uri, request))
         finally:
             self.failing.discard(uri)
-            self.cached.policy = self.cached.policy  # closes the breakers
+        self.engine_clock.advance(seconds=execution.BREAKER_RESET_TIMEOUT_S)
+        self.check(index, self.cached.execute(uri, request))
+        assert self.cached.breaker_state(uri) is execution.BreakerState.CLOSED
 
     # -- the ops -----------------------------------------------------------------
 

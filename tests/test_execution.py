@@ -36,6 +36,7 @@ from repro.providers.base import (
     reads_context,
 )
 from repro.providers.execution import (
+    BREAKER_RESET_TIMEOUT_S,
     BreakerState,
     ExecutionEngine,
     ExecutionPolicy,
@@ -636,9 +637,9 @@ class TestEndToEndDeduplication:
         engine (one worker) and the default parallel one generate
         identical tabs."""
         parallel_app = WorkbookApp(tiny_store)
-        serial_app = WorkbookApp(tiny_store)
-        serial_app.interface.engine.policy = (
-            ExecutionPolicy.defaults().replace(max_workers=1)
+        serial_app = WorkbookApp(
+            tiny_store,
+            policy=ExecutionPolicy.defaults().replace(max_workers=1),
         )
         parallel = [
             (tab.provider_name, tab.view.artifact_ids())
@@ -926,6 +927,65 @@ class TestRemovedFlatPolicyConstructor:
         assert "import warnings" not in source
 
 
+class TestFixedPolicyAndLazyBreakers:
+    """An engine's policy is fixed when it is built, and an endpoint gets
+    a circuit breaker only on its first failure that counts."""
+
+    def test_assigning_policy_raises(self, counting_registry):
+        registry, _ = counting_registry
+        engine = ExecutionEngine(registry)
+        with pytest.raises(AttributeError):
+            engine.policy = ExecutionPolicy.defaults().replace(attempts=2)
+        assert engine.policy is ExecutionPolicy.defaults()
+
+    def test_successful_misses_create_no_breaker(self, counting_registry):
+        registry, endpoint = counting_registry
+        engine = ExecutionEngine(
+            registry, policy=ExecutionPolicy.defaults().replace(cache_ttl_s=0)
+        )
+        for _ in range(5):
+            assert engine.execute("x://count", ProviderRequest()).fresh
+        engine.execute_many([
+            ("x://count", ProviderRequest(context=RequestContext(user_id=u)))
+            for u in ("u-1", "u-2")
+        ])
+        assert endpoint.calls == 7
+        assert engine._breakers == {}
+        assert engine.breaker_state("x://count") is BreakerState.CLOSED
+        engine.close()
+
+    def test_caller_error_creates_no_breaker(self):
+        def needs_team(request):
+            raise MissingInputError("x://team", "team_id")
+
+        registry = EndpointRegistry()
+        registry.register("x://team", needs_team)
+        engine = ExecutionEngine(registry)
+        for _ in range(3):
+            outcome = engine.execute("x://team", ProviderRequest())
+            assert isinstance(outcome.error, MissingInputError)
+        assert engine._breakers == {}
+
+    def test_first_counted_failure_creates_one_breaker(self):
+        registry = EndpointRegistry()
+        registry.register("x://down", FlakyEndpoint(
+            CountingEndpoint(), fail_on=lambda i: True, name="down"
+        ))
+        registry.register("x://count", CountingEndpoint())
+        engine = ExecutionEngine(registry)
+        engine.execute("x://count", ProviderRequest())
+        assert engine.execute(
+            "x://down", ProviderRequest()
+        ).status is FetchStatus.ERROR
+        assert list(engine._breakers) == ["x://down"]
+        breaker = engine._breakers["x://down"]
+        assert breaker.consecutive_failures == 1
+        assert breaker.state is BreakerState.CLOSED
+        engine.execute("x://down", ProviderRequest())
+        assert engine._breakers == {"x://down": breaker}
+        assert breaker.consecutive_failures == 2
+
+
 class TestLayeredPolicyApi:
     def test_defaults_is_a_shared_singleton(self):
         assert ExecutionPolicy.defaults() is ExecutionPolicy.defaults()
@@ -1179,14 +1239,51 @@ class TestCircuitBreaker:
                 engine.execute(endpoint, ProviderRequest())
             assert engine.breaker_state(endpoint) is BreakerState.OPEN
 
-    def test_policy_swap_resets_breakers(self):
-        registry, failing = self._registry()
-        engine, _ = _clock_engine(registry, self._policy())
-        for _ in range(3):
-            engine.execute("x://shaky", ProviderRequest())
-        assert engine.breaker_state("x://shaky") is BreakerState.OPEN
-        engine.policy = engine.policy.replace(attempts=1)
-        assert engine.breaker_state("x://shaky") is BreakerState.CLOSED
+    @pytest.mark.parametrize("many", [False, True], ids=["execute", "execute_many"])
+    def test_unexpected_probe_error_does_not_wedge_half_open(self, many):
+        """A half-open probe that raises something other than a
+        ``HumboldtError`` (a provider bug) still reaches the caller, and
+        counts as a failed probe: the breaker re-opens, and after the
+        next reset timeout a fetch of the recovered endpoint is let
+        through again."""
+        mode = ["down"]
+
+        def wedge(request):
+            if mode[0] == "down":
+                raise ProviderError("x://wedge", "outage")
+            if mode[0] == "bug":
+                raise KeyError("bug")
+            return list_result([ScoredArtifact("a-1")])
+
+        registry = EndpointRegistry()
+        registry.register("x://wedge", wedge)
+        engine, clock = _clock_engine(
+            registry,
+            ExecutionPolicy.defaults().replace(
+                cache_ttl_s=0, breaker_failure_threshold=1
+            ),
+        )
+
+        def fetch():
+            if many:
+                return engine.execute_many([("x://wedge", ProviderRequest())])[0]
+            return engine.execute("x://wedge", ProviderRequest())
+
+        assert fetch().status is FetchStatus.ERROR
+        assert engine.breaker_state("x://wedge") is BreakerState.OPEN
+        clock.advance(seconds=BREAKER_RESET_TIMEOUT_S)
+        mode[0] = "bug"
+        with pytest.raises(KeyError):
+            fetch()
+        assert engine.breaker_state("x://wedge") is BreakerState.OPEN
+        mode[0] = "up"
+        assert fetch().skipped  # the re-opened breaker waits again
+        clock.advance(seconds=BREAKER_RESET_TIMEOUT_S)
+        outcome = fetch()
+        assert outcome.fresh, outcome.reason
+        assert outcome.result.artifact_ids() == ["a-1"]
+        assert engine.breaker_state("x://wedge") is BreakerState.CLOSED
+        assert fetch().fresh
 
 
 #: The default cache TTL the stale-while-revalidate tests expire past.

@@ -210,6 +210,31 @@ class TestStaleSearch:
         assert "STALE" in render_view_text(view)
         assert interface.engine.stats.total("stale_served") >= 1
 
+    def test_spent_deadline_serves_stale_builtin_results(self):
+        """No endpoint fails here: a builtin's expired entry is served,
+        marked stale, to a search whose deadline is already spent."""
+        registry = EndpointRegistry()
+        install_builtin_endpoints(registry, BuiltinProviders(_STORE))
+        clock = SimulationClock()
+        engine = ExecutionEngine(registry, store=_STORE, clock=clock)
+        evaluator = DiscoveryInterface(
+            store=_STORE, registry=registry, spec=_SPEC, engine=engine
+        ).evaluator
+        fresh = evaluator.search("badged: endorsed")
+        assert not fresh.degraded and fresh.entries
+        deadline = engine.deadline(budget_ms=50.0)
+        clock.advance(seconds=ExecutionPolicy.defaults().cache_ttl_s + 1)
+        stale = evaluator.search("badged: endorsed", deadline=deadline)
+        assert stale.degraded
+        assert [e.artifact_id for e in stale.entries] == [
+            e.artifact_id for e in fresh.entries
+        ]
+        assert [(m.endpoint, m.status) for m in stale.health] == [
+            ("catalog://badged", FetchStatus.STALE.value)
+        ]
+        assert engine.stats.total("stale_served") == 1
+        assert engine._breakers == {}  # nothing failed
+
 
 class TestExplorationDegradation:
     def test_broken_provider_loses_its_panel_with_marker(self):
