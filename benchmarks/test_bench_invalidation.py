@@ -27,9 +27,7 @@ import os
 from pathlib import Path
 
 from benchmarks.conftest import RESULTS_DIR, write_result
-from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
 from repro.providers.execution import ExecutionPolicy
-from repro.providers.registry import EndpointRegistry
 from repro.providers.suite import default_spec
 from repro.synth import SynthConfig, generate_catalog
 from repro.workbook.app import WorkbookApp
@@ -72,23 +70,22 @@ def _coupled_app(store) -> WorkbookApp:
     dependencies, so every registration stays undeclared and any write
     drops every entry: the conservative fallback path.
     """
-    declared = EndpointRegistry()
-    install_builtin_endpoints(declared, BuiltinProviders(store))
-    registry = EndpointRegistry()
-    for uri in declared:
-        record = declared.registration(uri)
-        registry.register(
-            uri,
-            lambda request, fetch=record.endpoint: fetch(request),
-            estimator=record.estimator,
-            context=record.context,
-        )
     spec = default_spec()
     spec = dataclasses.replace(spec, providers=tuple(
         dataclasses.replace(provider, dependencies=frozenset())
         for provider in spec.providers
     ))
-    app = WorkbookApp(store, spec=spec, registry=registry)
+    app = WorkbookApp(store, spec=spec)
+    registry = app.registry
+    for uri in registry:
+        record = registry.registration(uri)
+        registry.register(
+            uri,
+            lambda request, fetch=record.endpoint: fetch(request),
+            replace=True,
+            estimator=record.estimator,
+            context=record.context,
+        )
     assert all(registry.registration(uri).domains is None for uri in registry)
     return app
 

@@ -2,28 +2,29 @@
 (Bäuerle, Demiralp, Stonebraker — VLDB 2024 TaDA workshop).
 
 Humboldt generates interactive data-discovery UIs from a declarative
-specification of metadata providers.  The quickest way in:
+specification of metadata providers.  :class:`Discovery` is the one
+front door, for one catalog or many:
 
-    from repro import WorkbookApp, study_catalog
+    with repro.Discovery.open(study_catalog()) as discovery:
+        result = discovery.search("badged: endorsed")
+
+A host embeds it through :class:`WorkbookApp`, a session host on
+``app.discovery`` (register custom endpoints on ``app.registry``, then
+``app.update_spec(...)`` regenerates every surface):
 
     app = WorkbookApp(study_catalog())
     session = app.session("user-alex")
     session.open_home()
     result = session.search('type: table owned_by: "Alex" badged: endorsed')
 
-Or, through the stable :class:`Discovery` facade (the single supported
-entry point for single-catalog *and* federated deployments):
-
-    with repro.Discovery.open(study_catalog()) as discovery:
-        result = discovery.search("badged: endorsed")
-
 **Public API.**  The names in ``__all__`` below are the supported
 surface: entry points (``Discovery``, ``WorkbookApp``), the catalog
 substrate (``CatalogStore``), federation (``FederatedCatalog``,
 ``CatalogRef``), the execution layer (``ExecutionEngine``,
 ``ExecutionPolicy``), query parsing/explaining (``parse_query``,
-``explain``) and the spec/provider vocabulary.  Anything imported from
-a deeper module is internal and may change without notice — internal
+``explain``) and the spec/provider vocabulary; the generated
+interface is reached as ``app.interface``.  Anything imported from a
+deeper module is internal and may change without notice — internal
 modules carry a "Stability: internal" note in their docstrings, and
 ``tests/test_public_api.py`` snapshots this surface.
 
@@ -48,7 +49,6 @@ Package layout:
 """
 
 from repro.catalog import Artifact, ArtifactType, CatalogStore
-from repro.core.interface import DiscoveryInterface
 from repro.core.query import parse_query
 from repro.core.query.nlq import explain
 from repro.federation import (
@@ -98,7 +98,6 @@ __all__ = [
     "CatalogRef",
     "CatalogStore",
     "Discovery",
-    "DiscoveryInterface",
     "EndpointRegistry",
     "ExecutionEngine",
     "ExecutionPolicy",

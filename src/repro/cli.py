@@ -267,12 +267,16 @@ def _print_trace(ring: RingBufferExporter, out) -> None:
     print(tree if tree else "(no spans recorded)", file=out)
 
 
+def _translate(interface, query: str, out) -> str:
+    """The query text an English *query* translates to (``--nl``)."""
+    translated = NaturalLanguageTranslator(
+        interface.language, interface.store
+    ).translate(query)
+    print(f"translated: {translated.query_text()}", file=out)
+    return translated.query_text()
+
+
 def _federated_search(args, out) -> int:
-    if args.nl:
-        raise FederationError(
-            "--nl is not supported with federated search; translate "
-            "against a single catalog first"
-        )
     with _open_discovery(args) as discovery:
         ring = None
         if args.trace:
@@ -284,7 +288,13 @@ def _federated_search(args, out) -> int:
         user_id = args.user or (users[0].id if users else "")
         print(f"federation: {len(discovery.members())} members "
               f"({', '.join(discovery.members())})", file=out)
-        result = discovery.search(args.query, user_id=user_id,
+        query = args.query
+        if args.nl:
+            # Every member shares the spec; names resolve against the
+            # default member's store.
+            query = _translate(discovery.federation.member_interface(
+                discovery.default_member), query, out)
+        result = discovery.search(query, user_id=user_id,
                                   limit=args.limit,
                                   budget_ms=args.budget_ms)
         print(f"{result.total} result(s) for {result.query!r}", file=out)
@@ -326,11 +336,7 @@ def cmd_search(args, out) -> int:
         user_id = args.user or _default_user(store)
         query = args.query
         if args.nl:
-            translator = NaturalLanguageTranslator(app.interface.language,
-                                                   store)
-            translation = translator.translate(query)
-            query = translation.query_text()
-            print(f"translated: {query}", file=out)
+            query = _translate(app.interface, query, out)
         result, _ = app.interface.search(query, user_id=user_id,
                                          limit=args.limit,
                                          budget_ms=args.budget_ms)

@@ -3,13 +3,16 @@
 ROADMAP item 5 (catalog-of-catalogs): a :class:`FederatedCatalog`
 registers any mix of member :class:`~repro.catalog.store.CatalogStore`
 backends — fully-resident in-memory stores and lazily-loaded sqlite
-files side by side — behind the store's read API with
-catalog-qualified ids (see :mod:`repro.federation.refs`).
+files side by side — and addresses their artifacts by catalog-qualified
+ids (see :mod:`repro.federation.refs`).
 
-Each member owns a full single-catalog query stack (registry, engine,
-evaluator).  A search is one loop over its targets, for one target or
-many: the query is compiled once, and each member's evaluator runs in
-turn at the caller's limit under one shared deadline.  Its leaves run
+Each member is one generated
+:class:`~repro.core.interface.discovery.DiscoveryInterface` over its own
+registry with the built-in providers installed: the single-catalog stack
+is assembled here and nowhere else.  A search is one loop over its
+targets, for one target or many: the query is compiled once, and each
+member's evaluator runs in turn at the caller's limit under one shared
+deadline.  Its leaves run
 under the member engine's cache, retries, breakers and stale-serving,
 and a member error degrades the result instead of raising.  Over two
 or more targets a per-member circuit breaker (the *member guard*)
@@ -34,16 +37,15 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.catalog.lineage import LineageEdge
-from repro.catalog.model import Artifact, ArtifactType, Team, User
+from repro.catalog.model import Artifact, Team, User
 from repro.catalog.store import CatalogStore
-from repro.catalog.usage import UsageStats
-from repro.core.query.evaluator import QueryEvaluator
-from repro.core.query.language import CompiledQuery, QueryLanguage
-from repro.core.ranking import Ranker
+from repro.core.interface.discovery import DiscoveryInterface
+from repro.core.query.language import CompiledQuery
 from repro.core.spec.model import HumboldtSpec
+from repro.core.spec.validation import validate_spec
 from repro.errors import HumboldtError, QueryCompileError
 from repro.federation.refs import (
     CatalogRef,
@@ -63,7 +65,6 @@ from repro.providers.execution import (
     FetchStatus,
     ProviderHealth,
 )
-from repro.providers.fields import FieldResolver
 from repro.providers.registry import EndpointRegistry
 from repro.providers.suite import default_spec
 from repro.util.clock import SimulationClock
@@ -173,7 +174,9 @@ class _Member:
 
     catalog_id: str
     store: CatalogStore
-    evaluator: QueryEvaluator
+    #: Regenerated in place by :meth:`FederatedCatalog.update_spec`.
+    interface: DiscoveryInterface
+    providers: BuiltinProviders
     #: The member guard: consulted only by searches over two or more
     #: targets, mutated under the federation's guard lock.
     breaker: CircuitBreaker
@@ -200,7 +203,6 @@ class FederatedCatalog:
         self._spec = spec or default_spec()
         self._policy = policy or ExecutionPolicy.defaults()
         self._clock = clock
-        self._language = QueryLanguage(self._spec)
         self._members: dict[str, _Member] = {}
         self._default_id: str | None = None
         self._guard_lock = threading.Lock()
@@ -222,7 +224,7 @@ class FederatedCatalog:
         """
         self._tracer = tracer
         for member in self._members.values():
-            member.evaluator.engine.tracer = tracer
+            member.interface.engine.tracer = tracer
 
     @property
     def tracer(self) -> Tracer:
@@ -244,6 +246,8 @@ class FederatedCatalog:
         ownership; the federation only flushes it on close) or a path,
         opened as a persistent catalog the federation owns and closes.
         The first member registered becomes the default automatically.
+        The member's engine runs with the federation's policy, clock and
+        tracer.
         """
         validate_catalog_id(catalog_id)
         if catalog_id in self._members:
@@ -252,21 +256,23 @@ class FederatedCatalog:
             )
         owned = not isinstance(source, CatalogStore)
         store = source if isinstance(source, CatalogStore) else CatalogStore.open(source)
+        registry = EndpointRegistry()
+        providers = BuiltinProviders(store)
+        install_builtin_endpoints(registry, providers)
         engine = ExecutionEngine(
-            EndpointRegistry(),
+            registry,
             store=store,
             policy=self._policy,
             clock=self._clock,
             tracer=self._tracer,
         )
-        install_builtin_endpoints(engine.registry, BuiltinProviders(store))
-        evaluator = QueryEvaluator(
-            store, engine, self._language, Ranker(FieldResolver(store))
-        )
         self._members[catalog_id] = _Member(
             catalog_id=catalog_id,
             store=store,
-            evaluator=evaluator,
+            interface=DiscoveryInterface(
+                store, registry, self._spec, engine=engine
+            ),
+            providers=providers,
             breaker=CircuitBreaker(self._policy.breaker_failure_threshold),
             owned=owned,
         )
@@ -293,7 +299,26 @@ class FederatedCatalog:
 
     def member_engine(self, catalog_id: str) -> ExecutionEngine:
         """The engine one member's provider leaves run on."""
-        return self._member(catalog_id).evaluator.engine
+        return self._member(catalog_id).interface.engine
+
+    def member_interface(self, catalog_id: str) -> DiscoveryInterface:
+        """The discovery interface generated for one member."""
+        return self._member(catalog_id).interface
+
+    def member_providers(self, catalog_id: str) -> BuiltinProviders:
+        """The built-in provider suite installed on one member."""
+        return self._member(catalog_id).providers
+
+    def update_spec(self, spec: HumboldtSpec) -> None:
+        """Regenerate every member's interface (see
+        :meth:`DiscoveryInterface.with_spec`), and with it the language
+        searches compile against.  A spec some member's registry cannot
+        serve raises before any member changes."""
+        for member in self._members.values():
+            validate_spec(spec, registry=member.interface.registry)
+        for member in self._members.values():
+            member.interface = member.interface.with_spec(spec)
+        self._spec = spec
 
     def member_health(self) -> dict[str, dict]:
         """Each member guard's state, registration order: breaker state,
@@ -326,7 +351,7 @@ class FederatedCatalog:
         self._member(catalog_id)
         return CatalogRef(catalog_id, artifact_id).qualified
 
-    # -- store read API (qualified ids) ------------------------------------
+    # -- reads (qualified ids) ---------------------------------------------
 
     def artifact(self, ref: "str | CatalogRef") -> Artifact:
         parsed = self.parse(ref)
@@ -339,50 +364,6 @@ class FederatedCatalog:
             return False
         member = self._members.get(parsed.catalog_id)
         return member is not None and member.store.has_artifact(parsed.artifact_id)
-
-    def resolve(self, refs: Iterable["str | CatalogRef"]) -> list[Artifact]:
-        """Map refs to artifacts, skipping ones that do not resolve."""
-        return [self.artifact(ref) for ref in refs if self.has_artifact(ref)]
-
-    @property
-    def artifact_count(self) -> int:
-        return sum(m.store.artifact_count for m in self._members.values())
-
-    def artifact_ids(self) -> list[str]:
-        """All qualified ids: members in registration order, ids sorted
-        within each member (each member's own deterministic order)."""
-        return self._collect(lambda store: store.artifact_ids())
-
-    def by_type(self, artifact_type: "ArtifactType | str") -> list[str]:
-        return self._collect(lambda store: store.by_type(artifact_type))
-
-    def by_owner(self, user_id: str) -> list[str]:
-        return self._collect(lambda store: store.by_owner(user_id))
-
-    def by_badge(self, badge: str, granted_by: str | None = None) -> list[str]:
-        return self._collect(lambda store: store.by_badge(badge, granted_by))
-
-    def by_tag(self, tag: str) -> list[str]:
-        return self._collect(lambda store: store.by_tag(tag))
-
-    def by_team(self, team_id: str) -> list[str]:
-        return self._collect(lambda store: store.by_team(team_id))
-
-    def by_token(self, token: str) -> list[str]:
-        return self._collect(lambda store: store.by_token(token))
-
-    def search_tokens(self, tokens: Iterable[str]) -> list[str]:
-        tokens = list(tokens)
-        return self._collect(lambda store: store.search_tokens(tokens))
-
-    def _collect(self, accessor) -> list[str]:
-        qualified: list[str] = []
-        for catalog_id, member in self._members.items():
-            qualified.extend(
-                CatalogRef(catalog_id, artifact_id).qualified
-                for artifact_id in accessor(member.store)
-            )
-        return qualified
 
     def users(self) -> list[User]:
         """Union of member user directories, first registration wins."""
@@ -398,10 +379,6 @@ class FederatedCatalog:
             for team in member.store.teams():
                 seen.setdefault(team.id, team)
         return list(seen.values())
-
-    def usage_stats(self, ref: "str | CatalogRef") -> UsageStats:
-        parsed = self.parse(ref)
-        return self._member(parsed.catalog_id).store.usage_stats(parsed.artifact_id)
 
     # -- search ------------------------------------------------------------
 
@@ -443,8 +420,11 @@ class FederatedCatalog:
         targets = list(members) if members is not None else list(self._members)
         for catalog_id in targets:
             self._member(catalog_id)
+        # Every member's interface is generated from the same spec, so
+        # the default member's language compiles for all of them.
+        language = self._members[self._default_id].interface.language
         try:
-            compiled = self._language.compile(query)
+            compiled = language.compile(query)
         except QueryCompileError as exc:
             compiled, compile_error = None, exc
         with self._tracer.span("federation.search") as span:
@@ -491,7 +471,7 @@ class FederatedCatalog:
         context = RequestContext(user_id=user_id, team_id=team_id, limit=cap)
         # Every member engine runs on the same clock, so any of them can
         # build the one deadline the whole search shares.
-        deadline = self._members[targets[0]].evaluator.engine.deadline(budget_ms)
+        deadline = self._members[targets[0]].interface.engine.deadline(budget_ms)
         many = len(targets) > 1
         guarded = many and self._policy.breaker_enabled
         entries: list[FederatedEntry] = []
@@ -510,7 +490,7 @@ class FederatedCatalog:
                 continue
             ok = False
             try:
-                result = member.evaluator.search(
+                result = member.interface.evaluator.search(
                     compiled, context=context, limit=cap, deadline=deadline
                 )
                 ok = True
@@ -694,7 +674,7 @@ class FederatedCatalog:
         with the caller.
         """
         for member in self._members.values():
-            member.evaluator.engine.close()
+            member.interface.engine.close()
             if member.owned:
                 member.store.close()
             else:

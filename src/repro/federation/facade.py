@@ -1,9 +1,8 @@
 """``Discovery`` — the supported entry point for discovery deployments.
 
-Before federation, embedders reached into deep modules for whatever
-layer they needed (``WorkbookApp`` here, ``QueryEvaluator`` there); the
-api_redesign makes :class:`Discovery` the one stable front door for
-both shapes of deployment::
+:class:`Discovery` is the one stable front door for both shapes of
+deployment, and the host application stands on it too
+(:class:`~repro.workbook.app.WorkbookApp` opens one over its catalog)::
 
     # single catalog (in-memory, a saved JSON store, or a sqlite path)
     with repro.Discovery.open(store) as discovery:

@@ -1,10 +1,11 @@
 """A headless "workbook" host application.
 
 The paper implements Humboldt inside Sigma Workbook, a commercial SaaS BI
-tool.  This package is the open substitute: a host application that embeds
-a generated :class:`~repro.core.interface.discovery.DiscoveryInterface`,
-manages per-user sessions with tabs, selections, previews and role
-switching, and logs every UI event — the instrumentation the simulated
+tool.  This package is the open substitute: a host application that opens
+its catalog through the :class:`~repro.federation.facade.Discovery` front
+door (as the one member ``main``), hosts per-user sessions with tabs,
+selections, previews and role switching on that member's generated
+interface, and logs every UI event — the instrumentation the simulated
 user study reads.
 """
 

@@ -1,10 +1,12 @@
 """The workbook application object.
 
-Owns the catalog, the endpoint registry with the built-in provider suite
-installed, and the generated discovery interface.  Hosts create sessions
-per user; spec updates (e.g. a team admin reconfiguring a home page)
-regenerate the interface in place, which is exactly the upgrade-free
-evolution the paper claims.
+A session host on a :class:`~repro.federation.facade.Discovery`: the app
+opens its catalog as the one-member deployment ``main`` and hosts
+per-user sessions on that member's generated discovery interface.  Spec
+updates (e.g. a team admin reconfiguring a home page) regenerate the
+interface in place, which is exactly the upgrade-free evolution the
+paper claims, and ``app.discovery`` searches the regenerated interface
+too.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ from repro.core.interface.exploration import ExplorationEngine
 from repro.core.interface.homepage import HomePageManager
 from repro.core.spec.customization import Customization
 from repro.core.spec.model import HumboldtSpec
-from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
+from repro.federation.facade import DEFAULT_MEMBER, Discovery
+from repro.providers.builtin import BuiltinProviders
 from repro.providers.execution import (
     ExecutionEngine,
     ExecutionPolicy,
     ExecutionStats,
 )
 from repro.providers.registry import EndpointRegistry
-from repro.providers.suite import default_spec
 from repro.workbook.session import Session
 
 
@@ -33,28 +35,34 @@ class WorkbookApp:
         self,
         store: CatalogStore,
         spec: HumboldtSpec | None = None,
-        registry: EndpointRegistry | None = None,
         policy: ExecutionPolicy | None = None,
     ):
         self.store = store
-        self.registry = registry or EndpointRegistry()
-        self.providers = BuiltinProviders(store)
-        if registry is None:
-            install_builtin_endpoints(self.registry, self.providers)
-        self.customization = Customization()
-        self.interface = DiscoveryInterface(
-            store=store,
-            registry=self.registry,
-            spec=spec or default_spec(),
-            customization=self.customization,
-            policy=policy,
-        )
+        self.discovery = Discovery.open(store, spec=spec, policy=policy)
         self.exploration = ExplorationEngine(self.interface)
         self.home_pages = HomePageManager(self.interface)
 
     @property
+    def interface(self) -> DiscoveryInterface:
+        """The ``main`` member's generated discovery interface."""
+        return self.discovery.federation.member_interface(DEFAULT_MEMBER)
+
+    @property
     def spec(self) -> HumboldtSpec:
         return self.interface.spec
+
+    @property
+    def registry(self) -> EndpointRegistry:
+        """Register custom endpoints here, then :meth:`update_spec`."""
+        return self.interface.registry
+
+    @property
+    def providers(self) -> BuiltinProviders:
+        return self.discovery.federation.member_providers(DEFAULT_MEMBER)
+
+    @property
+    def customization(self) -> Customization:
+        return self.interface.customization
 
     @property
     def engine(self) -> ExecutionEngine:
@@ -68,7 +76,7 @@ class WorkbookApp:
 
     def update_spec(self, spec: HumboldtSpec) -> None:
         """Swap in an updated spec; the UI regenerates, no code changes."""
-        self.interface = self.interface.with_spec(spec)
+        self.discovery.federation.update_spec(spec)
         self.exploration = ExplorationEngine(self.interface)
         self.home_pages = HomePageManager(self.interface)
 
@@ -76,8 +84,7 @@ class WorkbookApp:
         """Release execution resources (joins the engine's worker pool)
         and flush the store, so sessions against a persistent catalog
         never leave usage events or badge grants unpersisted."""
-        self.engine.close()
-        self.store.flush()
+        self.discovery.close()
 
     def __enter__(self) -> "WorkbookApp":
         return self

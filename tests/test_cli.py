@@ -8,6 +8,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core.spec import spec_to_json
 from repro.providers.suite import default_spec
+from repro.synth import study_catalog
 
 
 def run_cli(*argv):
@@ -203,11 +204,33 @@ class TestFederatedSearch:
         )
         assert code == 2
 
-    def test_nl_rejected_under_federation(self):
-        code, _ = run_cli(
-            "search", "--nl", "tables owned by Alex", "--federate", "2"
-        )
-        assert code == 2
+    def test_nl_under_federation_returns_the_monolith_ids(self):
+        query = "tables owned by Alex endorsed by Mike"
+        code, single = run_cli("search", "--nl", query)
+        assert code == 0
+        code, federated = run_cli("search", "--nl", query, "--federate", "2")
+        assert code == 0
+        assert "DEGRADED" not in federated
+
+        def translated(output):
+            return [line for line in output.splitlines()
+                    if line.startswith("translated:")]
+
+        assert translated(federated) == translated(single) == [
+            "translated: owned_by: Alex & badged: endorsed & "
+            "badged_by: Mike & type: table"
+        ]
+        # The single-catalog search prints names; map them to ids.
+        store = study_catalog()
+        by_name = {store.artifact(aid).name: aid
+                   for aid in store.artifact_ids()}
+        want = [by_name[line.split()[0]] for line in single.splitlines()
+                if line.startswith("  ")]
+        got = [line.split()[0].split(":", 1)[1]
+               for line in federated.splitlines()
+               if line.startswith("  cat")]
+        assert got == want
+        assert len(got) == 3
 
     def test_member_spec_must_be_name_equals_path(self):
         code, _ = run_cli("search", "orders", "--member", "nonsense")

@@ -208,8 +208,7 @@ class TestFederationFanOut:
         federation.set_tracer(tracer)
         extra = generate_catalog(SynthConfig(seed=11, n_tables=6))
         federation.add_member("late", extra)
-        member = federation._members["late"]
-        assert member.evaluator.engine.tracer is tracer
+        assert federation.member_engine("late").tracer is tracer
 
 
 class TestOneMemberSearch:

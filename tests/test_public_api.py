@@ -20,7 +20,6 @@ PUBLIC_API = [
     "CatalogRef",
     "CatalogStore",
     "Discovery",
-    "DiscoveryInterface",
     "EndpointRegistry",
     "ExecutionEngine",
     "ExecutionPolicy",

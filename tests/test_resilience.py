@@ -49,22 +49,22 @@ def _make_app(faults: dict[str, str]) -> WorkbookApp:
     breaker hair-trigger, so a single chaos round exercises it; the
     threshold is engine-wide, but only faulted endpoints ever fail.
     """
-    registry = EndpointRegistry()
-    install_builtin_endpoints(registry, BuiltinProviders(_STORE))
     policy = ExecutionPolicy.defaults()
+    if any(mode != "ok" for mode in faults.values()):
+        policy = policy.replace(breaker_failure_threshold=1)
+    app = WorkbookApp(_STORE, policy=policy)
     for endpoint, mode in faults.items():
         if mode == "ok":
             continue
-        original = registry.resolve(endpoint)
+        original = app.registry.resolve(endpoint)
         if mode == "fail_always":
             wrapped = FlakyEndpoint(original, fail_on=lambda i: True,
                                     name=endpoint)
         else:
             wrapped = FailNTimesEndpoint(original, fail_count=1,
                                          name=endpoint)
-        registry.register(endpoint, wrapped, replace=True)
-        policy = policy.replace(breaker_failure_threshold=1)
-    return WorkbookApp(_STORE, registry=registry, policy=policy)
+        app.registry.register(endpoint, wrapped, replace=True)
+    return app
 
 
 def _baseline_tabs() -> dict[str, str]:
