@@ -57,8 +57,8 @@ def index_entries(artifact: Artifact) -> Iterator[tuple[str, str]]:
     """Yield every ``(kind, key)`` bucket *artifact* belongs to.
 
     This is the single definition of what "indexed" means; both backends
-    apply it symmetrically on insert and replace so their buckets can
-    never diverge.
+    re-index through :func:`index_changes`, so their buckets can never
+    diverge.
     """
     yield ("type", artifact.artifact_type.value)
     if artifact.owner_id:
@@ -73,6 +73,23 @@ def index_entries(artifact: Artifact) -> Iterator[tuple[str, str]]:
         yield ("tag", tag.lower())
     for token in set(artifact.iter_text_tokens()):
         yield ("token", token)
+
+
+def index_changes(
+    previous: Artifact | None, artifact: Artifact,
+) -> tuple[set[tuple[str, str]], set[tuple[str, str]]]:
+    """``(removed, added)``: the buckets *artifact* leaves and joins when
+    it replaces *previous* (``None`` for a new artifact).
+
+    Buckets it stays in appear in neither set, so a badge grant touches
+    only its ``badge`` and ``badge_grantor`` buckets.  Both backends
+    re-index through this, on top of :func:`index_entries`.
+    """
+    after = set(index_entries(artifact))
+    if previous is None:
+        return set(), after
+    before = set(index_entries(previous))
+    return before - after, after - before
 
 
 class CatalogBackend(ABC):
@@ -328,12 +345,12 @@ class InMemoryBackend(CatalogBackend):
     # -- entities ----------------------------------------------------------
 
     def put_artifact(self, artifact: Artifact) -> None:
-        previous = self._artifacts.get(artifact.id)
-        if previous is not None:
-            for kind, key in index_entries(previous):
-                self._buckets[kind][key].discard(previous.id)
+        removed, added = index_changes(self._artifacts.get(artifact.id),
+                                       artifact)
+        for kind, key in removed:
+            self._buckets[kind][key].discard(artifact.id)
         self._artifacts[artifact.id] = artifact
-        for kind, key in index_entries(artifact):
+        for kind, key in added:
             self._buckets[kind][key].add(artifact.id)
 
     def get_artifact(self, artifact_id: str) -> Artifact | None:

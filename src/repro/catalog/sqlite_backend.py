@@ -18,13 +18,18 @@ contract on disk and hydrates **per domain, on first touch**:
 ``usage``
     Aggregates (per-artifact stats, per-user recents) and the raw event
     log hydrate as two separate chunks, so ranking reads never pay for
-    the event history and vice versa.
+    the event history and vice versa.  Per-user view counts (the team
+    provider's input) hydrate as a third, from one ``GROUP BY``.
 ``lineage``
     The graph hydrates whole on first traversal (lineage queries are
     global by nature); ``edge_count`` alone stays a COUNT.
 
 Writes land in the hydrated structures immediately and are journalled;
-:meth:`SqliteBackend.flush` persists them in one transaction.  Cold-start
+:meth:`SqliteBackend.flush` persists them in one transaction.  A replaced
+artifact changes only the buckets it leaves or joins, and the flush writes
+those posting rows alone (one ``DELETE`` or ``INSERT OR IGNORE`` per
+changed ``(kind, key, id)``), never whole buckets.  Write buffers clear
+only after the commit, so a flush that fails is retried whole.  Cold-start
 is therefore O(touched): opening a 200k-artifact catalog and answering a
 keyword query reads a handful of rows, not the catalog.
 
@@ -45,7 +50,7 @@ import time
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from repro.catalog.backend import CatalogBackend, index_entries
+from repro.catalog.backend import CatalogBackend, index_changes
 from repro.catalog.codecs import (
     artifact_from_dict,
     artifact_to_dict,
@@ -142,6 +147,7 @@ class _SqliteUsage(UsageLog):
         self._sql = backend
         self._stats_loaded = False
         self._events_loaded = False
+        self._user_views_loaded = False
         self._pending: list[UsageEvent] = []
         self._dirty_stats: set[str] = set()
         self._dirty_recents: set[str] = set()
@@ -181,6 +187,22 @@ class _SqliteUsage(UsageLog):
             self._events = stored + self._pending
             self._events_loaded = True
 
+    def _ensure_user_views(self) -> None:
+        if self._user_views_loaded:
+            return
+        with self._sql._lock:
+            if self._user_views_loaded:
+                return
+            for user_id, artifact_id, views in self._sql._execute(
+                "SELECT user_id, artifact_id, COUNT(*) FROM usage_events "
+                "WHERE action='view' GROUP BY user_id, artifact_id"
+            ):
+                self._user_views[user_id][artifact_id] = views
+            self._user_views_loaded = True
+            for event in self._pending:
+                if event.action == "view":
+                    self._count_view(event)
+
     def _stored_event_count(self) -> int:
         if self._stored_events is None:
             (count,) = self._sql._execute_one(
@@ -198,12 +220,18 @@ class _SqliteUsage(UsageLog):
 
     def record(self, event: UsageEvent) -> None:
         self._ensure_stats()
-        self._fold(event)
-        self._pending.append(event)
-        if self._events_loaded:
-            self._events.append(event)
-        self._dirty_stats.add(event.artifact_id)
-        self._dirty_recents.add(event.user_id)
+        with self._sql._lock:
+            self._fold(event)
+            self._pending.append(event)
+            if self._events_loaded:
+                self._events.append(event)
+            self._dirty_stats.add(event.artifact_id)
+            self._dirty_recents.add(event.user_id)
+
+    def _count_view(self, event: UsageEvent) -> None:
+        # Until hydrated, the stored counts plus ``_pending`` are the truth.
+        if self._user_views_loaded:
+            super()._count_view(event)
 
     def stats(self, artifact_id: str):
         self._ensure_stats()
@@ -230,38 +258,37 @@ class _SqliteUsage(UsageLog):
         return super().most_viewed(limit)
 
     def views_by_users(self, user_ids: set[str]) -> dict[str, int]:
-        self._ensure_events()
+        self._ensure_user_views()
         return super().views_by_users(user_ids)
 
     # -- persistence -------------------------------------------------------
 
-    def _flush(self, conn: sqlite3.Connection) -> None:
-        if self._pending:
-            conn.executemany(
-                "INSERT INTO usage_events(artifact_id, user_id, action, ts) "
-                "VALUES (?, ?, ?, ?)",
-                [(e.artifact_id, e.user_id, e.action, e.timestamp)
-                 for e in self._pending],
-            )
-            if self._stored_events is not None:
-                self._stored_events += len(self._pending)
-            self._pending.clear()
-        if self._dirty_stats:
-            conn.executemany(
-                "INSERT OR REPLACE INTO usage_stats(artifact_id, data) "
-                "VALUES (?, ?)",
-                [(aid, json.dumps(_stats_to_dict(self._stats[aid])))
-                 for aid in self._dirty_stats],
-            )
-            self._dirty_stats.clear()
-        if self._dirty_recents:
-            conn.executemany(
-                "INSERT OR REPLACE INTO user_recents(user_id, data) "
-                "VALUES (?, ?)",
-                [(uid, json.dumps(self._user_recents.get(uid, {})))
-                 for uid in self._dirty_recents],
-            )
-            self._dirty_recents.clear()
+    def _write(self) -> None:
+        self._sql._write(
+            "INSERT INTO usage_events(artifact_id, user_id, action, ts) "
+            "VALUES (?, ?, ?, ?)",
+            [(e.artifact_id, e.user_id, e.action, e.timestamp)
+             for e in self._pending],
+        )
+        self._sql._write(
+            "INSERT OR REPLACE INTO usage_stats(artifact_id, data) "
+            "VALUES (?, ?)",
+            [(aid, json.dumps(_stats_to_dict(self._stats[aid])))
+             for aid in self._dirty_stats],
+        )
+        self._sql._write(
+            "INSERT OR REPLACE INTO user_recents(user_id, data) "
+            "VALUES (?, ?)",
+            [(uid, json.dumps(self._user_recents.get(uid, {})))
+             for uid in self._dirty_recents],
+        )
+
+    def _flushed(self) -> None:
+        if self._stored_events is not None:
+            self._stored_events += len(self._pending)
+        self._pending.clear()
+        self._dirty_stats.clear()
+        self._dirty_recents.clear()
 
 
 class _SqliteLineage(LineageGraph):
@@ -305,16 +332,18 @@ class _SqliteLineage(LineageGraph):
 
     def add_edge(self, src: str, dst: str, kind: str = "derives") -> None:
         super().add_edge(src, dst, kind)
-        self._pending.append((src, dst, kind))
+        with self._sql._lock:
+            self._pending.append((src, dst, kind))
 
-    def _flush(self, conn: sqlite3.Connection) -> None:
-        if self._pending:
-            conn.executemany(
-                "INSERT OR REPLACE INTO lineage_edges(src, dst, kind) "
-                "VALUES (?, ?, ?)",
-                self._pending,
-            )
-            self._pending.clear()
+    def _write(self) -> None:
+        self._sql._write(
+            "INSERT OR REPLACE INTO lineage_edges(src, dst, kind) "
+            "VALUES (?, ?, ?)",
+            self._pending,
+        )
+
+    def _flushed(self) -> None:
+        self._pending.clear()
 
 
 class SqliteBackend(CatalogBackend):
@@ -373,9 +402,10 @@ class SqliteBackend(CatalogBackend):
         self._stored_count: int | None = None
         self._ids_memo: list[str] | None = None
 
-        # index buckets (bucket-wise)
+        # index buckets (bucket-wise); unflushed posting changes are kept
+        # per bucket as the last action on each id (True = add).
         self._bucket_memo: dict[tuple[str, str], set[str]] = {}
-        self._dirty_buckets: set[tuple[str, str]] = set()
+        self._posting_deltas: dict[tuple[str, str], dict[str, bool]] = {}
         self._size_memo: dict[tuple[str, str], int] = {}
 
         # write-ahead event mirror (streaming write path)
@@ -506,14 +536,16 @@ class SqliteBackend(CatalogBackend):
 
     def put_user(self, user: User) -> None:
         self._ensure_membership()
-        previous = self._users.get(user.id)
-        if previous is not None:
-            names = self._users_by_name.get(previous.name.lower())
-            if names is not None:
-                names.discard(user.id)
-        self._users[user.id] = user
-        self._users_by_name.setdefault(user.name.lower(), set()).add(user.id)
-        self._dirty_users.add(user.id)
+        with self._lock:
+            previous = self._users.get(user.id)
+            if previous is not None:
+                names = self._users_by_name.get(previous.name.lower())
+                if names is not None:
+                    names.discard(user.id)
+            self._users[user.id] = user
+            self._users_by_name.setdefault(user.name.lower(),
+                                           set()).add(user.id)
+            self._dirty_users.add(user.id)
 
     def get_user(self, user_id: str) -> User | None:
         self._ensure_membership()
@@ -534,8 +566,9 @@ class SqliteBackend(CatalogBackend):
 
     def put_team(self, team: Team) -> None:
         self._ensure_membership()
-        self._teams[team.id] = team
-        self._dirty_teams.add(team.id)
+        with self._lock:
+            self._teams[team.id] = team
+            self._dirty_teams.add(team.id)
 
     def get_team(self, team_id: str) -> Team | None:
         self._ensure_membership()
@@ -571,15 +604,15 @@ class SqliteBackend(CatalogBackend):
     def put_artifact(self, artifact: Artifact) -> None:
         with self._lock:
             previous = self.get_artifact(artifact.id)
-            if previous is not None:
-                for kind, key in index_entries(previous):
-                    self._mutate_bucket(kind, key, previous.id, add=False)
-            elif not self._entities_loaded:
+            if previous is None and not self._entities_loaded:
                 self._added_ids.add(artifact.id)
+            removed, added = index_changes(previous, artifact)
             self._artifacts[artifact.id] = artifact
             self._dirty_artifacts.add(artifact.id)
             self._ids_memo = None
-            for kind, key in index_entries(artifact):
+            for kind, key in removed:
+                self._mutate_bucket(kind, key, artifact.id, add=False)
+            for kind, key in added:
                 self._mutate_bucket(kind, key, artifact.id, add=True)
 
     def get_artifact(self, artifact_id: str) -> Artifact | None:
@@ -657,7 +690,7 @@ class SqliteBackend(CatalogBackend):
             bucket.add(artifact_id)
         else:
             bucket.discard(artifact_id)
-        self._dirty_buckets.add((kind, key))
+        self._posting_deltas.setdefault((kind, key), {})[artifact_id] = add
         self._size_memo.pop((kind, key), None)
 
     def index_ids(self, kind: str, key: str) -> frozenset[str]:
@@ -703,7 +736,7 @@ class SqliteBackend(CatalogBackend):
         unique = sorted(set(tokens))
         if not unique:
             return []
-        if any(("token", token) in self._dirty_buckets for token in unique):
+        if any(("token", token) in self._posting_deltas for token in unique):
             # A touched bucket has unflushed writes; the generic
             # hydrate-and-intersect path sees them, SQL would not.
             return super().intersect_tokens(unique)
@@ -730,8 +763,9 @@ class SqliteBackend(CatalogBackend):
         return self._state.get(key)
 
     def set_state(self, key: str, value: str) -> None:
-        self._state[key] = value
-        self._dirty_state.add(key)
+        with self._lock:
+            self._state[key] = value
+            self._dirty_state.add(key)
 
     def state_keys(self, prefix: str = "") -> list[str]:
         return sorted(k for k in self._state if k.startswith(prefix))
@@ -771,75 +805,92 @@ class SqliteBackend(CatalogBackend):
                 (domain, type(record).__name__, data)
             )
 
+    def _write(self, sql: str, rows: list[tuple]) -> None:
+        """Run one flush statement over *rows* (none: skip it), timed
+        into ``sqlite_query_ms`` like every read."""
+        if not rows:
+            return
+        started = time.perf_counter()
+        try:
+            self._conn.executemany(sql, rows)
+        finally:
+            _observe_query(sql, (time.perf_counter() - started) * 1000.0)
+
     def flush(self) -> None:
-        with self._lock, self._conn:
-            if self._dirty_artifacts:
-                self._conn.executemany(
-                    "INSERT OR REPLACE INTO artifacts(id, data) "
-                    "VALUES (?, ?)",
-                    [(aid, json.dumps(artifact_to_dict(self._artifacts[aid])))
-                     for aid in self._dirty_artifacts],
+        # The buffers are cleared only once the transaction has committed:
+        # a statement that raises rolls the whole flush back, and the next
+        # flush still finds every write it has to persist.  Every writer
+        # buffers under the lock, so nothing lands between write and clear.
+        with self._lock:
+            with self._conn:
+                self._write_pending()
+            self._flushed()
+
+    def _write_pending(self) -> None:
+        self._write(
+            "INSERT OR REPLACE INTO artifacts(id, data) VALUES (?, ?)",
+            [(aid, json.dumps(artifact_to_dict(self._artifacts[aid])))
+             for aid in self._dirty_artifacts],
+        )
+        # Posting deltas, not whole buckets: both statements are
+        # idempotent against the stored table, whatever it already holds.
+        removed: list[tuple[str, str, str]] = []
+        added: list[tuple[str, str, str]] = []
+        for (kind, key), changes in sorted(self._posting_deltas.items()):
+            for artifact_id, add in sorted(changes.items()):
+                (added if add else removed).append((kind, key, artifact_id))
+        self._write(
+            "DELETE FROM postings WHERE kind=? AND key=? AND id=?", removed
+        )
+        self._write(
+            "INSERT OR IGNORE INTO postings(kind, key, id) VALUES (?, ?, ?)",
+            added,
+        )
+        self._write(
+            "INSERT OR REPLACE INTO users(id, data) VALUES (?, ?)",
+            [(uid, json.dumps(user_to_dict(self._users[uid])))
+             for uid in self._dirty_users],
+        )
+        self._write(
+            "INSERT OR REPLACE INTO teams(id, data) VALUES (?, ?)",
+            [(tid, json.dumps(team_to_dict(self._teams[tid])))
+             for tid in self._dirty_teams],
+        )
+        self._usage._write()
+        self._lineage._write()
+        self._write(
+            "INSERT INTO catalog_events(domain, kind, data) VALUES (?, ?, ?)",
+            self._pending_journal,
+        )
+        self._write(
+            "INSERT OR REPLACE INTO meta(key, value) VALUES ('versions', ?)",
+            [(json.dumps({"__total__": self._version, **self._versions}),)],
+        )
+        self._write(
+            "INSERT OR REPLACE INTO meta(key, value) VALUES (?, ?)",
+            [(f"state:{key}", self._state[key]) for key in self._dirty_state],
+        )
+
+    def _flushed(self) -> None:
+        """Forget what the committed transaction persisted."""
+        self._dirty_artifacts.clear()
+        if self._added_ids:
+            # Flushed additions are now stored rows; fold them into the
+            # stored-id memos so they are not counted twice.
+            if self._stored_ids is not None:
+                self._stored_ids = sorted(
+                    set(self._stored_ids) | self._added_ids
                 )
-                self._dirty_artifacts.clear()
-            if self._added_ids:
-                # Flushed additions are now stored rows; fold them into the
-                # stored-id memos so they are not counted twice.
-                if self._stored_ids is not None:
-                    self._stored_ids = sorted(
-                        set(self._stored_ids) | self._added_ids
-                    )
-                if self._stored_count is not None:
-                    self._stored_count += len(self._added_ids)
-                self._added_ids.clear()
-            if self._dirty_buckets:
-                self._conn.executemany(
-                    "DELETE FROM postings WHERE kind=? AND key=?",
-                    sorted(self._dirty_buckets),
-                )
-                self._conn.executemany(
-                    "INSERT INTO postings(kind, key, id) VALUES (?, ?, ?)",
-                    [
-                        (kind, key, artifact_id)
-                        for (kind, key) in sorted(self._dirty_buckets)
-                        for artifact_id in self._bucket_memo[(kind, key)]
-                    ],
-                )
-                self._dirty_buckets.clear()
-            if self._dirty_users:
-                self._conn.executemany(
-                    "INSERT OR REPLACE INTO users(id, data) VALUES (?, ?)",
-                    [(uid, json.dumps(user_to_dict(self._users[uid])))
-                     for uid in self._dirty_users],
-                )
-                self._dirty_users.clear()
-            if self._dirty_teams:
-                self._conn.executemany(
-                    "INSERT OR REPLACE INTO teams(id, data) VALUES (?, ?)",
-                    [(tid, json.dumps(team_to_dict(self._teams[tid])))
-                     for tid in self._dirty_teams],
-                )
-                self._dirty_teams.clear()
-            self._usage._flush(self._conn)
-            self._lineage._flush(self._conn)
-            if self._pending_journal:
-                self._conn.executemany(
-                    "INSERT INTO catalog_events(domain, kind, data) "
-                    "VALUES (?, ?, ?)",
-                    self._pending_journal,
-                )
-                self._pending_journal.clear()
-            self._conn.execute(
-                "INSERT OR REPLACE INTO meta(key, value) "
-                "VALUES ('versions', ?)",
-                (json.dumps({"__total__": self._version, **self._versions}),),
-            )
-            if self._dirty_state:
-                self._conn.executemany(
-                    "INSERT OR REPLACE INTO meta(key, value) VALUES (?, ?)",
-                    [(f"state:{key}", self._state[key])
-                     for key in self._dirty_state],
-                )
-                self._dirty_state.clear()
+            if self._stored_count is not None:
+                self._stored_count += len(self._added_ids)
+            self._added_ids.clear()
+        self._posting_deltas.clear()
+        self._dirty_users.clear()
+        self._dirty_teams.clear()
+        self._usage._flushed()
+        self._lineage._flushed()
+        self._pending_journal.clear()
+        self._dirty_state.clear()
 
     def compact(self) -> None:
         self.flush()

@@ -41,6 +41,8 @@ class UsageLog:
         self._stats: dict[str, UsageStats] = defaultdict(UsageStats)
         # Per-user recency: artifact -> last time *this user* touched it.
         self._user_recents: dict[str, dict[str, float]] = defaultdict(dict)
+        # Per-user view counts: user -> artifact -> views by that user.
+        self._user_views: dict[str, dict[str, int]] = defaultdict(dict)
 
     def __len__(self) -> int:
         return len(self._events)
@@ -68,6 +70,7 @@ class UsageLog:
             stats.view_count += 1
             stats.last_viewed_at = max(stats.last_viewed_at, event.timestamp)
             stats.viewers.add(event.user_id)
+            self._count_view(event)
         elif event.action == "open":
             stats.open_count += 1
             stats.viewers.add(event.user_id)
@@ -85,6 +88,10 @@ class UsageLog:
         recents = self._user_recents[event.user_id]
         previous = recents.get(event.artifact_id, 0.0)
         recents[event.artifact_id] = max(previous, event.timestamp)
+
+    def _count_view(self, event: UsageEvent) -> None:
+        views = self._user_views[event.user_id]
+        views[event.artifact_id] = views.get(event.artifact_id, 0) + 1
 
     def stats(self, artifact_id: str) -> UsageStats:
         """Aggregates for *artifact_id* (zeros if never used)."""
@@ -128,12 +135,14 @@ class UsageLog:
     def views_by_users(self, user_ids: set[str]) -> dict[str, int]:
         """Per-artifact view counts restricted to events by *user_ids*.
 
-        Used by the "popular with my team" provider; computed from the raw
-        log because per-(user, artifact) counters are not worth maintaining
-        for every user.
+        Used by the "popular with my team" provider; summed over the
+        per-user view counts, so a call costs the members' distinct
+        viewed artifacts, not a scan of the raw log.
         """
         counts: dict[str, int] = defaultdict(int)
-        for event in self._events:
-            if event.action == "view" and event.user_id in user_ids:
-                counts[event.artifact_id] += 1
+        for user_id in user_ids:
+            # A copy: a concurrent record may add an artifact to the dict.
+            per_artifact = list(self._user_views.get(user_id, {}).items())
+            for artifact_id, views in per_artifact:
+                counts[artifact_id] += views
         return dict(counts)

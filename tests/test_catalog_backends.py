@@ -4,11 +4,16 @@ The same store-level assertions run against the in-memory backend
 (``CatalogStore()``) and the persistent SQLite backend
 (``CatalogStore.open``) — the backend is an implementation detail, so no
 observable behaviour may differ.  A hypothesis property drives random
-interleaved write/read sequences through both (with a close/reopen in
-the middle for the persistent one) and demands identical answers.
+interleaved write/read sequences through both (with flushes at random
+points and a close/reopen in the middle and at the end for the persistent
+one) and demands identical answers and identical postings.
 """
 
+import dataclasses
 import sqlite3
+import sys
+import threading
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +184,34 @@ class TestConformance:
         assert [a.id for a in tables] == ["a0", "a2"]
 
 
+class _FailOnce:
+    """A write connection that raises once, on the first statement whose
+    SQL contains *needle*, and forwards everything else."""
+
+    def __init__(self, conn, needle):
+        self._conn, self._needle, self.fired = conn, needle, False
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+    def __enter__(self):
+        return self._conn.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._conn.__exit__(*exc_info)
+
+    def executemany(self, sql, rows):
+        if self._needle in sql and not self.fired:
+            self.fired = True
+            raise sqlite3.OperationalError("injected failure")
+        return self._conn.executemany(sql, rows)
+
+
+def _stored_postings(path):
+    with closing(sqlite3.connect(path)) as conn:
+        return set(conn.execute("SELECT kind, key, id FROM postings"))
+
+
 class TestSqlitePersistence:
     """Behaviour only the persistent backend has: durability and laziness."""
 
@@ -264,6 +297,97 @@ class TestSqlitePersistence:
         with pytest.raises(CatalogError, match="schema version"):
             CatalogStore.open(path)
 
+    def test_failed_flush_keeps_every_write(self, tmp_path):
+        """A flush that raises partway rolls back and forgets nothing:
+        the next flush persists every write the failed one held."""
+        path = tmp_path / "catalog.db"
+        store = CatalogStore.open(path)
+        seed_store(store)
+        store.close()
+        store = CatalogStore.open(path)
+        store.grant_badge("a2", "golden", "u1")
+        store.record("a2", "u1", "view")
+        backend = store._backend
+        backend._conn = _FailOnce(backend._conn, "INTO usage_events")
+        with pytest.raises(sqlite3.OperationalError, match="injected"):
+            store.flush()
+        store.flush()
+        store.close()
+
+        assert {("badge", "golden", "a2"),
+                ("badge_grantor", "golden\x1fu1", "a2")} \
+            <= _stored_postings(path)
+        reopened = CatalogStore.open(path)
+        assert "golden" in reopened.artifact("a2").badge_names()
+        assert reopened.by_badge("golden") == ["a2"]
+        assert reopened.usage_stats("a2").view_count == 1
+        assert len(reopened.usage) == 3
+        reopened.close()
+
+    def test_grant_flush_writes_only_its_postings(self, tmp_path):
+        """A grant hydrates and writes its two badge buckets, nothing
+        else: one posting row each, not the artifact's other buckets."""
+        path = tmp_path / "catalog.db"
+        store = CatalogStore.open(path)
+        seed_store(store)
+        store.close()
+        store = CatalogStore.open(path)
+        store.grant_badge("a2", "golden", "u1")
+        assert store.storage_info()["hydrated"]["buckets_cached"] == 2
+        conn = store._backend._conn
+        before = conn.total_changes
+        store.flush()
+        # Two postings, the artifact row, one journal record, and the
+        # versions and clock rows in meta.
+        assert conn.total_changes - before == 6
+        store.close()
+
+    def test_writes_racing_flushes_are_all_persisted(self, tmp_path):
+        """Writers buffer under the backend lock that a flush holds until
+        it clears its buffers, so no write lands between the two."""
+        path = tmp_path / "catalog.db"
+        store = CatalogStore.open(path)
+        seed_store(store)
+        store.flush()
+        done = threading.Event()
+
+        def write(n):
+            for i in range(200):
+                store.record(f"a{i % 4}", "u2", "view")
+            store.lineage.add_edge(f"a{n}", "a9")
+
+        def flush():
+            while not done.is_set():
+                store.flush()
+
+        store.add_artifact(Artifact(id="a9", name="sink",
+                                    artifact_type="table"))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            flusher = threading.Thread(target=flush)
+            writers = [threading.Thread(target=write, args=(n,))
+                       for n in range(4)]
+            flusher.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            done.set()
+            flusher.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writers + [flusher])
+        store.close()
+
+        reopened = CatalogStore.open(path)
+        assert len(reopened.usage) == 2 + 4 * 200
+        assert sum(reopened.usage_stats(f"a{i}").view_count
+                   for i in range(4)) == 1 + 4 * 200
+        assert sorted(reopened.lineage.parents("a9")) == \
+            ["a0", "a1", "a2", "a3"]
+        reopened.close()
+
     def test_compact_preserves_content(self, tmp_path):
         store = CatalogStore.open(tmp_path / "catalog.db")
         seed_store(store)
@@ -289,6 +413,13 @@ _ops = st.lists(
                   st.integers(0, len(_BADGES) - 1)),
         st.tuples(st.just("view"), st.integers(0, 14)),
         st.tuples(st.just("edge"), st.integers(0, 14), st.integers(0, 14)),
+        st.tuples(st.just("flush")),
+        # Replaced below the store (no store API removes a posting): the
+        # only path to posting removals.
+        st.tuples(st.just("replace"),
+                  st.integers(0, 14),
+                  st.integers(0, len(_TOKENS) - 1),
+                  st.integers(0, len(_TAGS) - 1)),
     ),
     min_size=1,
     max_size=25,
@@ -319,6 +450,21 @@ def _apply(store, op):
         if (src != dst and store.has_artifact(f"a{src}")
                 and store.has_artifact(f"a{dst}")):
             store.lineage.add_edge(f"a{src}", f"a{dst}")
+    elif kind == "flush":
+        store.flush()
+    elif kind == "replace":
+        # Picks among the stored artifacts, so most replaces take effect.
+        _, n, token_i, tag_i = op
+        ids = store.artifact_ids()
+        if ids:
+            aid = ids[n % len(ids)]
+            old = store.artifact(aid)
+            store._backend.put_artifact(dataclasses.replace(
+                old, name=f"{_TOKENS[token_i]} rewrite {n}",
+                owner_id="u2" if old.owner_id == "u1" else "u1",
+                tags=(_TAGS[tag_i],),
+            ))
+            store._token_cache.pop(aid, None)
 
 
 def _observe(store):
@@ -333,6 +479,7 @@ def _observe(store):
             for b in _BADGES
         },
         "types": (store.by_type("table"), store.by_type("dashboard")),
+        "owners": (store.by_owner("u1"), store.by_owner("u2")),
         "views": {a: store.usage_stats(a).view_count
                   for a in store.artifact_ids()},
         "events": len(store.usage),
@@ -347,22 +494,32 @@ class TestBackendEquivalence:
     def test_interleaved_writes_read_identically(self, ops, split,
                                                  tmp_path_factory):
         """Any op sequence gives byte-identical reads on both backends,
-        including across a close/reopen of the persistent one."""
-        tmp_path = tmp_path_factory.mktemp("equiv")
+        including across a close/reopen of the persistent one, and leaves
+        exactly the memory backend's buckets in the postings table."""
+        path = tmp_path_factory.mktemp("equiv") / "catalog.db"
         memory = CatalogStore()
-        memory.add_user(User(id="u1", name="Ada"))
-        sqlite_store = CatalogStore.open(tmp_path / "catalog.db")
-        sqlite_store.add_user(User(id="u1", name="Ada"))
+        sqlite_store = CatalogStore.open(path)
+        for store in (memory, sqlite_store):
+            store.add_user(User(id="u1", name="Ada"))
+            store.add_user(User(id="u2", name="Grace"))
 
         head, tail = ops[:split], ops[split:]
         for op in head:
             _apply(memory, op)
             _apply(sqlite_store, op)
         sqlite_store.close()  # flush + restart mid-sequence
-        sqlite_store = CatalogStore.open(tmp_path / "catalog.db")
+        sqlite_store = CatalogStore.open(path)
         for op in tail:
             _apply(memory, op)
             _apply(sqlite_store, op)
+        sqlite_store.close()
+        sqlite_store = CatalogStore.open(path)
 
         assert _observe(sqlite_store) == _observe(memory)
         sqlite_store.close()
+        assert _stored_postings(path) == {
+            (kind, key, artifact_id)
+            for kind, buckets in memory._backend._buckets.items()
+            for key, ids in buckets.items()
+            for artifact_id in ids
+        }

@@ -1,6 +1,12 @@
 """Unit tests for the usage log and its aggregates."""
 
-from repro.catalog.model import UsageEvent
+import random
+from collections import Counter
+
+import pytest
+
+from repro.catalog.model import Artifact, UsageEvent, User
+from repro.catalog.store import CatalogStore
 from repro.catalog.usage import UsageLog
 
 
@@ -109,3 +115,61 @@ class TestQueries:
         log.record(ev("a", "u1", "open", 2.0))
         assert len(log) == 2
         assert len(log.events()) == 2
+
+
+def scanned_views(store, user_ids):
+    """Team view counts the way they were computed before per-user
+    counters: one pass over the raw event log."""
+    return dict(Counter(
+        e.artifact_id for e in store.usage.events()
+        if e.action == "view" and e.user_id in user_ids
+    ))
+
+
+class TestViewsByUsers:
+    """``views_by_users`` sums per-user counters; it must agree with a
+    scan of the raw log on both backends, before and after a flush, and
+    across a reopen (stored counts plus unflushed events)."""
+
+    USERS = ("u1", "u2", "u3", "u4")
+    TEAMS = ({"u1"}, {"u1", "u2"}, {"u3", "u4", "ghost"}, set(USERS))
+
+    def _record(self, store, rng, n):
+        for _ in range(n):
+            store.record(f"a{rng.randrange(6)}", rng.choice(self.USERS),
+                         rng.choice(("view", "view", "open", "edit")))
+
+    def _check(self, store):
+        for team in self.TEAMS:
+            assert store.usage.views_by_users(team) == \
+                scanned_views(store, team)
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_matches_a_scan_of_the_log(self, backend, tmp_path):
+        path = tmp_path / "catalog.db"
+        store = CatalogStore() if backend == "memory" else \
+            CatalogStore.open(path)
+        for user_id in self.USERS:
+            store.add_user(User(id=user_id, name=user_id))
+        for i in range(6):
+            store.add_artifact(Artifact(id=f"a{i}", name=f"table {i}",
+                                        artifact_type="table"))
+        rng = random.Random(7)
+        self._record(store, rng, 60)
+        self._check(store)
+        store.flush()
+        self._record(store, rng, 20)
+        self._check(store)
+        if backend == "memory":
+            return
+        store.close()
+
+        store = CatalogStore.open(path)
+        self._record(store, rng, 15)  # unflushed, before the first read
+        assert not store.storage_info()["hydrated"]["usage_events"]
+        counts = store.usage.views_by_users(set(self.USERS))
+        assert not store.storage_info()["hydrated"]["usage_events"]
+        self._record(store, rng, 15)  # after the counters hydrated
+        assert store.usage.views_by_users(set(self.USERS)) != counts
+        self._check(store)
+        store.close()
