@@ -154,6 +154,46 @@ def test_bench_invalidation_workload():
     assert aware["stale_results"] == 0, aware
 
 
+def test_bench_invalidation_grants_of_other_badges():
+    """Badge grants interleaved with ``badged: endorsed`` and
+    ``badged_by`` searches.  No grant is of ``endorsed``, so each leaves
+    the ``badged`` entry cached or patched, never dropped; some are by
+    the searched grantor, so ``badged_by`` answers do change.  Every
+    search must match a cache-disabled engine on the same store."""
+    store = _build_store()
+    users = store.users()
+    user, grantor = users[0], users[1]
+    queries = ["badged: endorsed", f"badged_by: {grantor.name}"]
+    artifact_ids = store.artifact_ids()
+    oracle = WorkbookApp(
+        store, policy=ExecutionPolicy.defaults().replace(cache_ttl_s=0)
+    )
+    stale = 0
+    with WorkbookApp(store) as app:
+        for step in range(_iterations()):
+            store.grant_badge(
+                artifact_ids[(step * 37) % len(artifact_ids)],
+                ("certified", "deprecated")[step % 2],
+                users[step % 4].id,
+            )
+            for query in queries:
+                result, _ = app.interface.search(
+                    query, user_id=user.id, limit=10
+                )
+                expected, _ = oracle.interface.search(
+                    query, user_id=user.id, limit=10
+                )
+                if result.artifact_ids() != expected.artifact_ids():
+                    stale += 1
+        badged = app.stats.endpoint("catalog://badged")
+        badged_by = app.stats.endpoint("catalog://badged_by")
+    oracle.close()
+    assert stale == 0
+    assert badged.invalidations == 0, badged
+    assert badged.calls == 1 and badged.delta_patches > 0, badged
+    assert badged_by.invalidations == 0, badged_by
+
+
 def test_bench_invalidation_report():
     assert _rows, "workload benchmark did not run"
     lines = [

@@ -60,11 +60,12 @@ DOMAINS: tuple[str, ...] = (
 ALL_DOMAINS: frozenset[str] = frozenset(DOMAINS)
 
 #: Domains whose common mutations are monotonic (usage counters grow,
-#: lineage edges and members append) and therefore delta-patchable.
-#: Entities, text and badges mutations drop dependent cache entries, so
-#: a result patcher only ever runs for an endpoint reading one of these.
+#: lineage edges, members and badge grants append) and therefore
+#: delta-patchable.  Entities and text mutations drop dependent cache
+#: entries, so a result patcher only ever runs for an endpoint reading
+#: one of these.
 PATCHABLE_DOMAINS: frozenset[str] = frozenset(
-    {DOMAIN_USAGE, DOMAIN_LINEAGE, DOMAIN_MEMBERSHIP}
+    {DOMAIN_USAGE, DOMAIN_LINEAGE, DOMAIN_MEMBERSHIP, DOMAIN_BADGES}
 )
 
 

@@ -127,10 +127,14 @@ class LineageGraph:
         nodes = {artifact_id}
         nodes.update(self.upstream(artifact_id, depth))
         nodes.update(self.downstream(artifact_id, depth))
+        # Every kept edge leaves a neighbourhood node, so walking their
+        # out-edges finds them all without scanning the whole graph.
+        adjacency = self._graph.adj
         edges = [
             LineageEdge(src, dst, data.get("kind", "derives"))
-            for src, dst, data in self._graph.edges(data=True)
-            if src in nodes and dst in nodes
+            for src in nodes
+            for dst, data in adjacency[src].items()
+            if dst in nodes
         ]
         edges.sort(key=lambda e: (e.src, e.dst))
         return (sorted(nodes), edges)

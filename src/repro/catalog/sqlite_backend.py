@@ -42,7 +42,6 @@ facades; this module's names may change without notice.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sqlite3
 import threading
@@ -60,6 +59,7 @@ from repro.catalog.codecs import (
     user_to_dict,
 )
 from repro.catalog.domains import ALL_DOMAINS, DOMAIN_LINEAGE, DOMAINS
+from repro.catalog.events import UsageEventRecord
 from repro.catalog.lineage import LineageGraph
 from repro.catalog.model import Artifact, Team, UsageEvent, User
 from repro.catalog.usage import UsageLog, UsageStats
@@ -137,6 +137,17 @@ def _stats_from_dict(data: dict[str, Any]) -> UsageStats:
         viewers=set(data.get("viewers", ())),
         favorited_by=set(data.get("favorited_by", ())),
     )
+
+
+def journal_data(record: object) -> str:
+    """The ``catalog_events.data`` text of one write-ahead record: the
+    string ``json.dumps(dataclasses.asdict(record), sort_keys=True)``
+    returns, without ``asdict``'s recursive copy.  Every record field is
+    a string or a boolean, except a usage record's flat ``event``."""
+    fields = vars(record)
+    if isinstance(record, UsageEventRecord):
+        fields = {**fields, "event": vars(record.event)}
+    return json.dumps(fields, sort_keys=True)
 
 
 class _SqliteUsage(UsageLog):
@@ -799,7 +810,7 @@ class SqliteBackend(CatalogBackend):
         mirror; persisted with the next :meth:`flush` (same WAL
         transaction as the state it describes)."""
         domain = getattr(record, "domain", "")
-        data = json.dumps(dataclasses.asdict(record), sort_keys=True)
+        data = journal_data(record)
         with self._lock:
             self._pending_journal.append(
                 (domain, type(record).__name__, data)

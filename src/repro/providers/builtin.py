@@ -136,7 +136,8 @@ class BuiltinProviders:
     # the cached object itself (the events provably cannot affect it),
     # a rebuilt result (computed through the endpoint's own body, so it
     # is identical-by-construction to a drop-and-refetch at this
-    # instant), or None (decline — a non-monotonic mutation like a team
+    # instant; the engine keeps the cached object when the two are
+    # equal), or None (decline — a non-monotonic mutation like a team
     # roster replacement; the engine falls back to dropping the entry).
     # The guards are deliberately conservative: any doubt rebuilds.
 
@@ -147,8 +148,8 @@ class BuiltinProviders:
         patches_with` decorator cannot close over ``self``; the installer
         passes these at the registry level, mirroring :meth:`estimators`.
         Only endpoints whose dependencies include a patchable domain
-        (usage / lineage / membership) appear — the rest drop on write
-        as before.
+        (usage / lineage / membership / badges) appear — the rest drop
+        on write as before.
         """
         return {
             "recents": self._patch_user_usage(self.recents),
@@ -160,7 +161,9 @@ class BuiltinProviders:
             "team_popular": self._patch_team_popular,
             "owned_by": self._patch_membership(self.owned_by),
             "created_by": self._patch_membership(self.owned_by),
-            "badged_by": self._patch_membership(self.badged_by),
+            "badges": self._patch_badges,
+            "badged": self._patch_badged,
+            "badged_by": self._patch_badged_by,
             "team_docs": self._patch_membership(self.team_docs),
             "lineage": self._patch_lineage(self.lineage, around=False),
             "lineage_graph": self._patch_lineage(
@@ -183,6 +186,10 @@ class BuiltinProviders:
             elif isinstance(r, BadgeEventRecord) and r.artifact_id in listed:
                 return True
         return False
+
+    @staticmethod
+    def _grants(records) -> list:
+        return [r for r in records if isinstance(r, BadgeEventRecord)]
 
     @staticmethod
     def _roster_replaced(records) -> bool:
@@ -253,6 +260,43 @@ class BuiltinProviders:
             return cached
 
         return patch
+
+    def _patch_badges(self, request, cached, records):
+        """A grant of a badge its artifact already carries (another
+        grantor's, say) leaves every category as it was; any other grant
+        declines, so the changed result is refetched outside the engine
+        lock instead of rebuilt under it."""
+        listed = {c.name: c.artifact_ids for c in cached.categories}
+        if all(g.artifact_id in listed.get(g.badge, ())
+               for g in self._grants(records)):
+            return cached
+        return None
+
+    def _patch_badged(self, request, cached, records):
+        """A grant changes the membership only through its own badge's
+        bucket; other grants and usage events matter only where they
+        name a listed artifact (its advisory fields)."""
+        badge = request.input("badge").lower()
+        if any(
+            g.badge == badge for g in self._grants(records)
+        ) or self._touches_listed(records, set(cached.artifact_ids())):
+            return self.badged(request)
+        return cached
+
+    def _patch_badged_by(self, request, cached, records):
+        """Membership rules as :meth:`_patch_membership`; then as
+        :meth:`_patch_badged`, with the requested grantor in place of
+        the badge."""
+        if self._roster_replaced(records):
+            return None
+        if any(isinstance(r, MembershipEventRecord) for r in records):
+            return self.badged_by(request)
+        user_id = self._resolve_user(request.input("user"))
+        if any(
+            g.granted_by == user_id for g in self._grants(records)
+        ) or self._touches_listed(records, set(cached.artifact_ids())):
+            return self.badged_by(request)
+        return cached
 
     def _patch_lineage(self, endpoint: Endpoint, around: bool) -> Callable:
         """Patcher for lineage endpoints.

@@ -1187,7 +1187,8 @@ class ExecutionEngine:
           restamp and serve.  The restamp keeps the entry's log offset,
           so a later patch still sees those records;
         * only patchable domains moved → hand the endpoint's patcher the
-          log records since the entry's offset; serve what it returns;
+          log records since the entry's offset; serve what it returns,
+          or the cached object itself when the two are equal;
         * anything else — a hard domain, an opaque record on a domain the
           endpoint reads, a truncated log, an undeclared endpoint, a
           declining or failing patcher, a registry swap — drops the
@@ -1235,7 +1236,10 @@ class ExecutionEngine:
         if patched is None:
             self.stats.count("delta_fallbacks", endpoint)
             return self._drop(key)
-        entry.result = patched
+        # An equal answer keeps the cached object, so whatever is keyed
+        # on its identity downstream (the view memo) stays valid.
+        if patched is not entry.result and patched != entry.result:
+            entry.result = patched
         entry.stamp = current._replace(offset=next_offset)
         self.stats.count("delta_patches", endpoint)
         return True

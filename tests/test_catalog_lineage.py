@@ -1,6 +1,8 @@
 """Unit tests for the lineage graph."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog.lineage import LineageEdge, LineageGraph
 from repro.errors import CatalogError
@@ -90,3 +92,39 @@ class TestSubgraph:
         assert {(e.src, e.dst) for e in edges} == {
             ("t1", "v1"), ("v1", "d1"),
         }
+
+
+def _scanned_subgraph(graph, artifact_id, depth):
+    """``subgraph_around`` by a scan of every edge in the graph."""
+    if artifact_id not in graph:
+        return ([artifact_id], [])
+    nodes = {artifact_id}
+    nodes.update(graph.upstream(artifact_id, depth))
+    nodes.update(graph.downstream(artifact_id, depth))
+    edges = [e for e in graph.edges() if e.src in nodes and e.dst in nodes]
+    edges.sort(key=lambda e: (e.src, e.dst))
+    return (sorted(nodes), edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edges=st.lists(
+        st.tuples(st.integers(0, 11), st.integers(0, 11),
+                  st.sampled_from(LineageEdge.VALID_KINDS)),
+        max_size=40,
+    ),
+    root=st.integers(0, 12),
+    depth=st.integers(0, 3),
+)
+def test_subgraph_around_matches_a_full_edge_scan(edges, root, depth):
+    """On random DAGs (edges ascend, so none closes a cycle) the
+    neighbourhood walk returns what scanning every edge returns, in the
+    same order.  Node 12 is never in the graph."""
+    graph = LineageGraph()
+    for src, dst, kind in edges:
+        if src < dst:
+            graph.add_edge(f"n{src:02d}", f"n{dst:02d}", kind)
+    artifact_id = f"n{root:02d}"
+    assert graph.subgraph_around(artifact_id, depth) == _scanned_subgraph(
+        graph, artifact_id, depth
+    )

@@ -36,7 +36,7 @@ from repro.providers.base import (
     list_result,
 )
 from repro.providers.declarative import RuleEndpoint
-from repro.providers.execution import ExecutionEngine
+from repro.providers.execution import ExecutionEngine, ExecutionPolicy
 from repro.providers.registry import EndpointRegistry
 from repro.workbook.app import WorkbookApp
 
@@ -594,25 +594,68 @@ class TestNoStaleResults:
             assert app.stats.total("cache_hits") > 0
 
 
+#: The badge endpoints a grant can patch, one request per badge and
+#: grantor of the tiny store.
+BADGE_REQUESTS = (
+    [("catalog://badges", {})]
+    + [("catalog://badged", {"badge": b})
+       for b in ("endorsed", "certified", "deprecated")]
+    + [("catalog://badged_by", {"user": u})
+       for u in ("u-ann", "u-bob", "u-cyd", "Dee Fox")]
+)
+
+
+def _badge_answers(engine):
+    """Each badge request's answer: membership only for the lists, whose
+    order and fields follow advisory usage; categories in full."""
+    answers = []
+    for uri, inputs in BADGE_REQUESTS:
+        result = engine.execute(uri, ProviderRequest(inputs=inputs)).result
+        if uri == "catalog://badges":
+            answers.append(result)
+        else:
+            answers.append(sorted(result.artifact_ids()))
+    return answers
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     steps=st.lists(
         st.tuples(
             st.sampled_from(sorted(MUTATIONS)),
             st.sampled_from(QUERIES),
+            st.lists(
+                st.tuples(
+                    st.sampled_from(("t-orders", "t-customers", "t-web",
+                                     "v-orders", "d-sales", "w-q1")),
+                    st.sampled_from(("endorsed", "certified", "deprecated")),
+                    st.sampled_from(("u-ann", "u-bob", "u-cyd", "u-dee")),
+                ),
+                max_size=2,
+            ),
         ),
         min_size=1,
         max_size=12,
     )
 )
 def test_property_random_interleaving_never_stale(steps):
+    """Random mutations and random grants by random grantors: searches,
+    and the badge endpoints' cached (or patched) answers, always equal a
+    cold cache's."""
     store = build_tiny_store()
     store.grant_badge("t-orders", "endorsed", "u-bob")
-    with WorkbookApp(store) as app:
-        for label, query in steps:
+    uncached = ExecutionPolicy.defaults().replace(cache_ttl_s=0)
+    with WorkbookApp(store) as app, WorkbookApp(
+        store, policy=uncached
+    ) as oracle:
+        _badge_answers(app.engine)
+        for label, query, grants in steps:
             try:
                 MUTATIONS[label][0](store)
             except Exception:
                 pass  # duplicate entity/edge from repeated labels
+            for artifact_id, badge, grantor in grants:
+                store.grant_badge(artifact_id, badge, grantor)
             result, _ = app.interface.search(query, user_id="u-ann")
             assert result.artifact_ids() == fresh_results(store, query)
+            assert _badge_answers(app.engine) == _badge_answers(oracle.engine)

@@ -33,6 +33,7 @@ from repro.catalog.store import CatalogStore
 from repro.core.interface.discovery import DiscoveryInterface
 from repro.core.interface.exploration import ExplorationEngine
 from repro.core.ranking import Ranker
+from repro.core.render.html import render_view_html
 from repro.core.spec.model import ProviderSpec, RankingWeight, Visibility
 from repro.core.views.factory import ViewFactory
 from repro.core.views.graph import GraphView
@@ -40,6 +41,7 @@ from repro.errors import CatalogError, RepresentationError
 from repro.obs.metrics import default_registry
 from repro.providers.base import (
     GraphEdge,
+    ProviderRequest,
     ProviderResult,
     Representation,
     ScoredArtifact,
@@ -482,6 +484,67 @@ def test_patched_graph_keeps_its_layout(tiny_store, spec, monkeypatch):
     grown = factory.build(provider, result)
     assert grown.artifact_ids()[-1] == "t-late" and len(grown.edges) == 3
     grown.layout()
+    assert calls == [42]
+
+
+def test_unchanged_lineage_graph_keeps_its_layout(harness, monkeypatch):
+    """An edge just past an explored artifact's depth-2 neighbourhood
+    makes the engine's patcher rebuild an equal ``lineage_graph``
+    result.  The engine keeps the cached object, so the next explore
+    serves the same view with its layout, rendering what a fresh build
+    renders."""
+    store, interface = harness.store, harness.interface
+    lineage = store.lineage
+    root, far = next(
+        (aid, far)
+        for aid in store.artifact_ids()
+        for far in lineage.downstream(aid, 2)
+        if far not in lineage.downstream(aid, 1)
+    )
+    nodes, _ = lineage.subgraph_around(root, 2)
+    # Documents have no children, so the new edge closes no cycle.
+    sink = next(
+        doc for doc in store.by_type("document")
+        if doc not in nodes and doc not in lineage.children(far)
+    )
+
+    def graph_view():
+        (surfaced,) = [
+            s for s in harness.exploration.explore(
+                root, user_id=harness.users[0]
+            )
+            if s.provider_name == "lineage_graph"
+        ]
+        return surfaced.view
+
+    first = graph_view()
+    html = render_view_html(first)
+    before = interface.engine.stats.endpoint("catalog://lineage_graph")
+    lineage.add_edge(far, sink, "derives")
+    calls = []
+    original = GraphView._spring_layout
+
+    def counted(view, seed):
+        calls.append(seed)
+        return original(view, seed)
+
+    monkeypatch.setattr(GraphView, "_spring_layout", counted)
+    again = graph_view()
+    after = interface.engine.stats.endpoint("catalog://lineage_graph")
+    assert after.delta_patches == before.delta_patches + 1
+    assert after.calls == before.calls
+    assert again is first
+    assert render_view_html(again) == html
+    assert calls == []
+    fresh = ViewFactory(store, interface.spec, interface.ranker).build(
+        interface.spec.provider("lineage_graph"),
+        BuiltinProviders(store).lineage_graph(
+            ProviderRequest(inputs={"artifact": root})
+        ),
+        inputs=dict(first.inputs),
+        limit=10,
+    )
+    assert render_view_html(fresh) == html
     assert calls == [42]
 
 

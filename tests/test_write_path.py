@@ -16,7 +16,10 @@ under random write/read interleavings.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import sqlite3
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +37,7 @@ from repro.catalog.events import (
     BadgeEventRecord,
     EntitiesEventRecord,
     EventLog,
+    EventRecord,
     EventStream,
     LineageEventRecord,
     MembershipEventRecord,
@@ -41,12 +45,14 @@ from repro.catalog.events import (
     UsageEventRecord,
 )
 from repro.catalog.model import Artifact, ArtifactType, Team, User, UsageEvent
+from repro.catalog.sqlite_backend import journal_data
 from repro.catalog.store import CatalogStore
 from repro.catalog.usage import UsageLog
 from repro.errors import UnknownEntityError
 from repro.providers.base import (
     ProviderRequest,
     RequestContext,
+    ScoredArtifact,
     depends_on,
     list_result,
     patches_with,
@@ -532,6 +538,85 @@ class TestEngineDeltaPatching:
         assert served == registry.resolve("catalog://recents")(request)
         assert served.items[0].fields["endorsed"] == 1.0
 
+    def test_equal_patch_keeps_the_cached_object(self):
+        """A patcher that rebuilds an equal result leaves the cached
+        object in place, so what is keyed on its identity downstream
+        (the view memo) stays valid; an unequal rebuild replaces it."""
+        store = _seeded_store()
+        shown = ["a0"]
+
+        def endpoint(request):
+            return list_result([ScoredArtifact(aid) for aid in shown])
+
+        registry = EndpointRegistry()
+        registry.register(
+            "x://rebuilt", endpoint, dependencies=(DOMAIN_USAGE,),
+            patcher=lambda request, cached, records: endpoint(request),
+        )
+        engine = ExecutionEngine(
+            registry, store=store,
+            policy=ExecutionPolicy.defaults().replace(cache_ttl_s=3600.0),
+            clock=store.clock,
+        )
+        first = engine.execute("x://rebuilt", ProviderRequest()).result
+        store.record("a1", "u2", "view")
+        assert engine.execute("x://rebuilt", ProviderRequest()).result is first
+        shown.append("a1")
+        store.record("a1", "u2", "view")
+        changed = engine.execute("x://rebuilt", ProviderRequest()).result
+        assert changed is not first
+        assert changed.artifact_ids() == ["a0", "a1"]
+        assert engine.execute("x://rebuilt", ProviderRequest()).result is changed
+        totals = engine.stats.snapshot()["totals"]
+        assert totals["delta_patches"] == 2
+        assert totals["calls"] == 1
+
+    def test_badge_patchers_keep_unrelated_entries(self):
+        """A grant naming another badge, grantor and artifact leaves the
+        ``badged``/``badged_by`` entries cached, and a repeated grant
+        leaves ``badges``; a grant that does name them shows on the next
+        read."""
+        store = _seeded_store()
+        store.grant_badge("a0", "endorsed", "u1")
+        store.grant_badge("a1", "certified", "u2")
+        registry, engine = _engine(store)
+        requests = {
+            "catalog://badged": ProviderRequest(inputs={"badge": "endorsed"}),
+            "catalog://badged_by": ProviderRequest(inputs={"user": "u1"}),
+            "catalog://badges": ProviderRequest(),
+        }
+        first = {
+            uri: engine.execute(uri, request).result
+            for uri, request in requests.items()
+        }
+        store.grant_badge("a1", "certified", "u3")  # a repeated pair
+        for uri, request in requests.items():
+            assert engine.execute(uri, request).result is first[uri], uri
+        store.grant_badge("a3", "certified", "u2")  # a new pair
+        for uri in ("catalog://badged", "catalog://badged_by"):
+            assert engine.execute(uri, requests[uri]).result is first[uri]
+        # A view of a listed artifact changes its advisory fields: the
+        # next grant, though unrelated, rebuilds.
+        store.record("a0", "u3", "view")
+        store.grant_badge("a4", "certified", "u2")
+        for uri in ("catalog://badged", "catalog://badged_by"):
+            served = engine.execute(uri, requests[uri]).result
+            assert served == registry.resolve(uri)(requests[uri]), uri
+            assert served != first[uri], uri
+        store.grant_badge("a2", "endorsed", "u1")
+        for uri, request in requests.items():
+            served = engine.execute(uri, request).result
+            assert served == registry.resolve(uri)(request), uri
+            assert "a2" in served.artifact_ids(), uri
+        assert {
+            uri: engine.stats.endpoint(uri).calls for uri in requests
+        } == {
+            "catalog://badged": 1,
+            "catalog://badged_by": 1,
+            "catalog://badges": 2,  # a new pair declines
+        }
+        assert engine.stats.total("invalidations") == 1
+
     def test_lineage_patch_keeps_unrelated_entry(self):
         store = _seeded_store()
         store.lineage.add_edge("a0", "a2")
@@ -678,6 +763,22 @@ class TestSqliteJournal:
         assert rows[-1][0] == DOMAIN_USAGE
         store.close()
 
+    def test_journal_data_matches_asdict_for_every_record_type(self):
+        records = [
+            UsageEventRecord(UsageEvent("a0", "u1", "favorite", 1.5e9 + 0.25)),
+            UsageEventRecord(UsageEvent('a "q"', "ü\n", "view", 0.0)),
+            LineageEventRecord("a0", "a1", "embeds"),
+            MembershipEventRecord("team", "t1", added=False),
+            EntitiesEventRecord("a0"),
+            BadgeEventRecord("a0", "endorsed", "u1"),
+            OpaqueEventRecord(DOMAIN_TEXT, reason="reindex"),
+        ]
+        assert {type(r) for r in records} == set(typing.get_args(EventRecord))
+        for record in records:
+            assert journal_data(record) == json.dumps(
+                dataclasses.asdict(record), sort_keys=True
+            ), record
+
     def test_compact_prunes_journal(self, tmp_path):
         path = tmp_path / "catalog.db"
         store = CatalogStore.open(path)
@@ -723,6 +824,10 @@ _PROP_REQUESTS = (
     ("catalog://lineage", ProviderRequest(inputs={"artifact": "a0"}), True),
     ("catalog://lineage_graph",
      ProviderRequest(inputs={"artifact": "a1"}), True),
+    ("catalog://badged", ProviderRequest(inputs={"badge": "endorsed"}),
+     False),
+    ("catalog://badged_by", ProviderRequest(inputs={"user": "u1"}), False),
+    ("catalog://badges", ProviderRequest(), True),
 )
 
 
@@ -751,7 +856,9 @@ def _op_strategy():
     flush = st.tuples(st.just("flush"))
     set_team = st.tuples(st.just("set_team"),
                          st.lists(st.integers(0, 2), max_size=3))
-    badge = st.tuples(st.just("badge"), st.integers(0, 5))
+    badge = st.tuples(st.just("badge"), st.integers(0, 5),
+                      st.sampled_from(("endorsed", "certified")),
+                      st.integers(0, 2))
     edge = st.tuples(st.just("edge"), st.integers(0, 5), st.integers(0, 5))
     fetch = st.tuples(st.just("fetch"),
                       st.integers(0, len(_PROP_REQUESTS) - 1))
@@ -778,7 +885,7 @@ def _apply_op(store, stream, op):
         members = tuple(dict.fromkeys(f"u{u + 1}" for u in op[1]))
         store.set_team(Team(id="t1", name="Alpha", member_ids=members))
     elif kind == "badge":
-        store.grant_badge(f"a{op[1]}", "endorsed", "u1")
+        store.grant_badge(f"a{op[1]}", op[2], f"u{op[3] + 1}")
     elif kind == "edge":
         src, dst = f"a{op[1]}", f"a{op[2]}"
         if op[1] < op[2]:  # ascending ids keep the graph acyclic
@@ -864,7 +971,7 @@ class TestPatcherRegistration:
         return list_result([])
 
     @pytest.mark.parametrize("dependencies", [
-        (DOMAIN_ENTITIES,), (DOMAIN_ENTITIES, DOMAIN_TEXT, DOMAIN_BADGES), (),
+        (DOMAIN_ENTITIES,), (DOMAIN_ENTITIES, DOMAIN_TEXT), (),
     ])
     def test_patcher_without_patchable_domain_is_rejected(self, dependencies):
         registry = EndpointRegistry()
@@ -889,4 +996,10 @@ class TestPatcherRegistration:
         registry.register("x://p", self._endpoint,
                           dependencies=(DOMAIN_ENTITIES, domain),
                           patcher=self._patch)
+        assert registry.registration("x://p").patcher is self._patch
+
+    def test_patcher_on_a_badges_only_endpoint_registers(self):
+        registry = EndpointRegistry()
+        registry.register("x://p", self._endpoint,
+                          dependencies=(DOMAIN_BADGES,), patcher=self._patch)
         assert registry.registration("x://p").patcher is self._patch
